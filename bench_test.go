@@ -206,7 +206,7 @@ func BenchmarkSweepSharedModel(b *testing.B) {
 			for _, e := range epsilons {
 				p := base
 				p.Epsilon = e
-				if _, err := core.MineWithModels(m, p, models); err != nil {
+				if _, err := core.Run(context.Background(), m, p, core.Options{Workers: 1, Models: models}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -262,7 +262,7 @@ func BenchmarkIncrementalRemine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	parentResult, err := core.MineParallelWithModels(parent, p, workers, parentModels)
+	parentResult, err := core.Run(context.Background(), parent, p, core.Options{Workers: workers, Models: parentModels})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func BenchmarkIncrementalRemine(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := core.MineParallel(grown, p, workers)
+			res, err := core.Run(context.Background(), grown, p, core.Options{Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -288,11 +288,11 @@ func BenchmarkIncrementalRemine(b *testing.B) {
 			}
 			n := 0
 			visit := func(*core.Bicluster) bool { n++; return true }
-			_, info, err := core.MineIncremental(context.Background(), grown, parent, p,
-				workers, visit, nil, childModels, parentModels, parentResult)
-			if err != nil {
+			splice := &core.Splice{Parent: parent, ParentModels: parentModels, ParentResult: parentResult}
+			if _, err := core.Run(context.Background(), grown, p, core.Options{Workers: workers, Visit: visit, Models: childModels, Source: splice}); err != nil {
 				b.Fatal(err)
 			}
+			info := splice.Info()
 			if !info.Incremental {
 				b.Fatal("fell back to a cold mine:", info.Fallback)
 			}
@@ -402,7 +402,7 @@ func BenchmarkMineParallel(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MineParallel(m, p, 0); err != nil {
+			if _, err := core.Run(context.Background(), m, p, core.Options{Workers: 0}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -410,10 +410,10 @@ func BenchmarkMineParallel(b *testing.B) {
 	b.Run("parallel-func", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n := 0
-			if _, err := core.MineParallelFunc(m, p, 0, func(*core.Bicluster) bool {
+			if _, err := core.Run(context.Background(), m, p, core.Options{Workers: 0, Visit: func(*core.Bicluster) bool {
 				n++
 				return true
-			}); err != nil {
+			}}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -424,7 +424,7 @@ func BenchmarkMineParallel(b *testing.B) {
 		pt := p
 		pt.MaxNodes = 50000
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MineParallel(m, pt, 0); err != nil {
+			if _, err := core.Run(context.Background(), m, pt, core.Options{Workers: 0}); err != nil {
 				b.Fatal(err)
 			}
 		}

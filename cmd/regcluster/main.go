@@ -125,30 +125,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer cancel()
 	}
 	start := time.Now()
-	var res *core.Result
+	// One entry point for every mode: mining output is deterministic for any
+	// worker count, and a traced run only threads a span through it.
 	var tracer *obs.Tracer
-	switch {
-	case *traceRun:
-		// The observed entry point threads a span through the run; mining
-		// output is deterministic for any worker count, so the collected
-		// clusters match the plain paths exactly.
+	var ob *core.Observer
+	var sp *obs.Span
+	if *traceRun {
 		tracer = obs.New()
-		sp := tracer.Start("mine")
-		var ob core.Observer
+		sp = tracer.Start("mine")
+		ob = &core.Observer{}
 		ob.SetSpan(sp)
-		var clusters []*core.Bicluster
-		var st core.Stats
-		st, err = core.MineParallelFuncObserved(ctx, m, p, *parallel, func(b *core.Bicluster) bool {
-			clusters = append(clusters, b)
-			return true
-		}, &ob)
-		sp.End()
-		res = &core.Result{Clusters: clusters, Stats: st}
-	case *parallel == 1:
-		res, err = core.MineContext(ctx, m, p)
-	default:
-		res, err = core.MineParallelContext(ctx, m, p, *parallel)
 	}
+	res, err := core.Run(ctx, m, p, core.Options{Workers: *parallel, Observer: ob})
+	sp.End()
 	if err != nil {
 		return err
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // budget is the global resource accounting shared by every miner of one
-// mining run — the single miner of Mine/MineFunc or the whole pool of
-// MineParallel/MineParallelFunc. All miners charge the same atomic counters,
-// so MaxNodes and MaxClusters bound the RUN, not each worker, and a cap trip
+// mining run — the single sequential miner or the whole local pool of a
+// Run. All miners charge the same atomic counters, so MaxNodes and
+// MaxClusters bound the RUN, not each worker, and a cap trip
 // (or an external cancellation: a visitor stop, a sibling's truncation, a
 // context expiry) is observed cooperatively by everyone at the next node or
 // candidate boundary.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -158,11 +159,11 @@ func TestMineDenormalBaselineNoInf(t *testing.T) {
 	}
 	// The guard must behave identically under parallel mining.
 	for _, workers := range equivalenceWorkers {
-		par, err := MineParallel(m, p, workers)
+		par, err := Run(context.Background(), m, p, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameRun(t, "MineParallel denormal", res, par.Clusters, par.Stats)
+		assertSameRun(t, "parallel denormal", res, par.Clusters, par.Stats)
 	}
 }
 

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
-
-	"regcluster/internal/matrix"
 )
 
 // CheckpointVersion is the serialization version stamped into every snapshot;
-// ResumeFrom rejects other versions so a journal written by a future format
+// Validate rejects other versions so a journal written by a future format
 // can never be silently misinterpreted.
 const CheckpointVersion = 1
 
@@ -79,34 +76,13 @@ type CheckpointConfig struct {
 
 func (cc CheckpointConfig) enabled() bool { return cc.OnCheckpoint != nil }
 
-// PanicError is returned (never re-thrown) by the parallel mining entry
-// points when a worker goroutine panicked: the panic is contained, every
-// sibling worker stops cooperatively, and the run fails with the recovered
-// value and the panicking goroutine's stack.
+// PanicError is returned (never re-thrown) by Run when a worker goroutine
+// panicked: the panic is contained, every sibling worker stops
+// cooperatively, and the run fails with the recovered value and the
+// panicking goroutine's stack.
 type PanicError struct {
 	Value any
 	Stack []byte
 }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("core: mining worker panic: %v", e.Value) }
-
-// MineParallelFuncResumable is MineParallelFuncObserved with crash-recovery
-// support: resume restarts the run from a prior snapshot instead of from
-// scratch, and ck emits new snapshots as the run advances.
-//
-// A non-nil resume must come from a run over the same matrix and Params
-// (callers persist and compare those identities; this function validates
-// only structural bounds). The visitor then receives exactly the clusters
-// after resume.Delivered() in sequential order, and the returned Stats are
-// the uninterrupted run's totals. Unlike the other parallel entry points this
-// one always routes through the worker engine, so worker panics surface as a
-// *PanicError rather than crossing the API as a panic (with workers <= 1 the
-// engine simply runs a one-goroutine pool).
-func MineParallelFuncResumable(ctx context.Context, m *matrix.Matrix, p Params, workers int, visit Visitor, obs *Observer, resume *Checkpoint, ck CheckpointConfig) (Stats, error) {
-	if resume != nil {
-		if err := resume.Validate(m.Cols()); err != nil {
-			return Stats{}, err
-		}
-	}
-	return mineParallelOpts(ctx, m, p, workers, visit, mineOpts{obs: obs, resume: resume, ck: ck})
-}

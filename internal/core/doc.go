@@ -79,16 +79,19 @@
 // Resource budgets are a first-class subsystem (budget.go): MaxNodes and
 // MaxClusters charge one shared atomic budget no matter how many miners run,
 // so sequential and parallel runs truncate at exactly the same global caps,
-// and cancellation (a cap trip, a visitor stop, or a context deadline via
-// MineContext/MineParallelContext) propagates cooperatively to every worker.
+// and cancellation (a cap trip, a visitor stop, or a context deadline)
+// propagates cooperatively to every worker.
 //
-// MineParallel distributes level-1 subtrees over a worker pool through a
-// largest-first work queue and returns output identical to Mine's — clusters
-// and Stats, truncated runs included (see parallel.go for the reconciliation
-// that makes truncated parallel runs exact). MineParallelFunc streams the
-// same deterministic sequence to a visitor through per-subtree reordering
-// buffers. Params.CustomGammas plugs in the alternative per-gene regulation
-// thresholds Section 3.1 mentions (thresholds.go). CheckBicluster validates
-// any cluster against Definition 3.2 directly from the raw matrix,
-// independent of the index and search.
+// Run is the one mining entry point (run.go). It keeps one reordering buffer
+// per level-1 subtree and one in-order merger that owns the exact sequential
+// accounting — caps, visitor stops, truncation reruns, checkpoints and the
+// resume watermark — and returns output identical to Mine's, clusters and
+// Stats, truncated runs included. A Source fills the buffers: the local
+// worker pool (the default, largest subtree first), a distributed
+// coordinator (package dist) pushing verified heartbeat batches, or Splice
+// (incremental.go) pushing the subtrees an append delta cannot change from
+// the parent result. Params.CustomGammas plugs in the alternative per-gene
+// regulation thresholds Section 3.1 mentions (thresholds.go).
+// CheckBicluster validates any cluster against Definition 3.2 directly from
+// the raw matrix, independent of the index and search.
 package core

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"regcluster/internal/matrix"
@@ -27,9 +23,9 @@ import (
 // regulation relation. A condition with no such gene is *clean*: its subtree
 // in the grown dataset is identical to its subtree in the parent, clusters
 // and isolated Stats both, so the parent's cached output can be spliced in
-// unmined. MineIncremental exploits this: it re-mines only dirty subtrees
-// and reuses the rest, producing output byte-identical to a cold mine of the
-// grown matrix (the property TestDifferentialIncrementalVsCold pins).
+// unmined. Splice exploits this: it re-mines only dirty subtrees and reuses
+// the rest, producing output byte-identical to a cold mine of the grown
+// matrix (the property TestDifferentialIncrementalVsCold pins).
 
 // IncrementalInfo reports how an incremental re-mine executed: whether the
 // subtree-reuse fast path ran, how many level-1 subtrees it spliced from the
@@ -51,7 +47,7 @@ type IncrementalInfo struct {
 // sub removes a previously folded contribution from an aggregate — the
 // inverse of Add for every counter. Truncated is left untouched: callers only
 // subtract isolated subtree stats (never truncated) from untruncated parent
-// aggregates, which the MineIncremental eligibility gate enforces.
+// aggregates, which the Splice eligibility gate enforces.
 // TestStatsSubInvertsAdd pins full field coverage by reflection.
 func (s *Stats) sub(o Stats) {
 	s.Nodes -= o.Nodes
@@ -189,207 +185,153 @@ func incrementalFallback(child, parent *matrix.Matrix, p Params, childModels, pa
 	return ""
 }
 
-// incrTask is one unit of incremental re-mine work: a dirty subtree mined on
-// the child (clusters + stats), or re-mined on the parent for stats only —
-// the contribution to subtract from the parent's aggregate.
-type incrTask struct {
-	cond     int
-	onParent bool
-}
-
-// MineIncremental re-mines the grown matrix child after an append-conditions
-// delta over parent, reusing the parent's settled result where the delta
-// provably cannot change it. Only subtrees rooted at dirty conditions — the
-// appended ones, plus old conditions some gene regulates against an appended
-// one — are mined (on childModels); for each dirty old condition the parent
-// subtree is additionally re-mined stats-only (on parentModels) so its
-// contribution can be subtracted from parentResult.Stats exactly. Clean
-// subtrees splice the parent's clusters verbatim. Clusters stream to visit in
-// starting-condition order, DFS within a subtree — the engine's delivery
-// order — and the returned Stats equal a cold mine's bit for bit.
+// Splice is the incremental Source: it re-mines a child matrix grown by an
+// append-conditions delta over Parent, reusing ParentResult where the delta
+// provably cannot change it. Clean subtrees are pushed from ParentResult
+// verbatim; subtrees rooted at dirty conditions — the appended ones, plus old
+// conditions some gene regulates against an appended one — are mined on the
+// local pool. For each dirty old condition the pool also re-mines the parent
+// subtree stats-only (on ParentModels), so that once the merger settles the
+// clean subtrees' Stats can be added in one step: the parent's total minus
+// those parent-side contributions. The Run's output — cluster stream and
+// Stats — is byte-identical to a cold mine of the child.
 //
 // Ineligible inputs (gene-axis growth, per-gene threshold drift under
-// relative gamma, budget caps, a truncated parent, the naive-candidates
-// ablation) fall back to a cold parallel mine of child; IncrementalInfo
-// reports which path ran. A visit returning false abandons the run: delivery
-// stops and the returned Stats are the full-run aggregate with Truncated set,
-// not the cold engine's mid-run accounting — callers that stop mid-stream
-// should not compare stats against a cold run. The live Observer counts
-// nodes only for re-mined subtrees; cluster counts cover the full stream.
-func MineIncremental(ctx context.Context, child, parent *matrix.Matrix, p Params, workers int,
-	visit Visitor, o *Observer, childModels, parentModels []*rwave.Model, parentResult *Result) (Stats, IncrementalInfo, error) {
-	if visit == nil {
-		return Stats{}, IncrementalInfo{}, fmt.Errorf("core: MineIncremental requires a visitor")
-	}
-	_, childKern, err := resolveModels(child, p, childModels, nil)
-	if err != nil {
-		return Stats{}, IncrementalInfo{}, err
-	}
-	coldMine := func(reason string) (Stats, IncrementalInfo, error) {
-		stats, err := mineParallelOpts(ctx, child, p, workers, visit, mineOpts{obs: o, models: childModels})
-		return stats, IncrementalInfo{Fallback: reason}, err
-	}
-	if reason := incrementalFallback(child, parent, p, childModels, parentModels, parentResult); reason != "" {
-		return coldMine(reason)
-	}
+// relative gamma, budget caps, checkpointing, a truncated parent, the
+// naive-candidates ablation) fall back to the local pool; Info reports which
+// path ran. After a visitor stop the returned Stats are the delivered prefix
+// (clean subtrees counted by their clusters only) with Truncated set, not a
+// cold run's mid-run accounting. The live Observer counts nodes only for
+// re-mined subtrees; cluster counts cover the full stream. A Splice serves
+// one Run.
+type Splice struct {
+	Parent       *matrix.Matrix
+	ParentModels []*rwave.Model
+	ParentResult *Result
 
-	oldConds, conds := parent.Cols(), child.Cols()
-	dirty := dirtyConditions(childKern, oldConds, conds)
-	nDirtyOld := 0
-	for c := 0; c < oldConds; c++ {
-		if dirty[c] {
-			nDirtyOld++
-		}
-	}
-	if nDirtyOld == oldConds {
-		return coldMine("every subtree dirtied by the delta")
-	}
+	info        IncrementalInfo
+	dirty       []bool
+	parentStats []Stats // stats-only parent re-mines of dirty old subtrees
+	spliced     int     // clusters pushed from ParentResult
+}
 
-	// Group the parent's clusters by subtree root. Clusters arrive from the
-	// engine in starting-condition order with DFS order inside each subtree,
-	// so per-root grouping preserves the intra-subtree order exactly.
-	parentByRoot := make([][]*Bicluster, oldConds)
-	for _, b := range parentResult.Clusters {
-		if len(b.Chain) == 0 || b.Chain[0] < 0 || b.Chain[0] >= oldConds {
-			return coldMine("parent result malformed")
-		}
-		parentByRoot[b.Chain[0]] = append(parentByRoot[b.Chain[0]], b)
-	}
+// Info reports how the Run that used s executed.
+func (s *Splice) Info() IncrementalInfo { return s.info }
 
-	_, parentKern, err := resolveModels(parent, p, parentModels, nil)
-	if err != nil {
-		return Stats{}, IncrementalInfo{}, err
+// Produce implements Source.
+func (s *Splice) Produce(run *Subtrees) func() {
+	e := run.e
+	reason := incrementalFallback(run.Matrix, s.Parent, run.Params, run.Models, s.ParentModels, s.ParentResult)
+	if reason == "" && (e.start+e.skip > 0 || e.ck.enabled()) {
+		reason = "checkpointed runs need per-subtree stats"
 	}
-
-	// Dirty subtrees on the child in the engine's largest-first dispatch
-	// order, then their parent-side stats re-mines: output order is fixed by
-	// the emission loop below, so task order only balances the pool.
-	tasks := make([]incrTask, 0, nDirtyOld*2+(conds-oldConds))
-	for _, c := range subtreeOrder(child, p, childKern) {
-		if dirty[c] {
-			tasks = append(tasks, incrTask{cond: c})
-		}
-	}
-	for _, t := range tasks {
-		if t.cond < oldConds {
-			tasks = append(tasks, incrTask{cond: t.cond, onParent: true})
-		}
-	}
-
-	sp := o.traceSpan()
-	isp := sp.Start("incremental.mine")
-	if isp != nil {
-		isp.SetInt("subtrees_mined", int64(conds-oldConds+nDirtyOld))
-		isp.SetInt("subtrees_reused", int64(oldConds-nDirtyOld))
-		defer isp.End()
-	}
-
-	childClusters := make([][]*Bicluster, conds)
-	childStats := make([]Stats, conds)
-	parentStats := make([]Stats, oldConds)
-	iso := p
-	iso.MaxNodes, iso.MaxClusters = 0, 0
-
-	nWorkers := workers
-	if nWorkers <= 0 {
-		nWorkers = runtime.GOMAXPROCS(0)
-	}
-	if nWorkers > len(tasks) {
-		nWorkers = len(tasks)
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		panicked atomic.Pointer[any]
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < nWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, &r)
-					stop.Store(true)
-				}
-			}()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				t := tasks[i]
-				bud := newBudget(iso, ctx)
-				if t.onParent {
-					mn := newMiner(parent, iso, parentKern, bud)
-					mn.sink = func(*Bicluster, int) bool { return true }
-					mn.runFrom(t.cond)
-					parentStats[t.cond] = mn.stats
-				} else {
-					mn := newMiner(child, iso, childKern, bud)
-					mn.obs = o
-					mn.sink = func(b *Bicluster, _ int) bool {
-						childClusters[t.cond] = append(childClusters[t.cond], b)
-						return true
-					}
-					mn.runFrom(t.cond)
-					childStats[t.cond] = mn.stats
-				}
-				if err := bud.contextErr(); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					stop.Store(true)
-					return
-				}
+	var byRoot [][]*Bicluster
+	if reason == "" {
+		oldConds := s.Parent.Cols()
+		s.dirty = dirtyConditions(e.kern, oldConds, run.Matrix.Cols())
+		s.info.SubtreesMined = run.Matrix.Cols() - oldConds
+		for c := 0; c < oldConds; c++ {
+			if s.dirty[c] {
+				s.info.SubtreesMined++
 			}
-		}()
+		}
+		if s.info.SubtreesMined == run.Matrix.Cols() {
+			reason = "every subtree dirtied by the delta"
+		}
 	}
-	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		panic(*r)
+	if reason == "" {
+		// Group the parent's clusters by subtree root. Clusters arrive in
+		// starting-condition order with DFS order inside each subtree, so
+		// per-root grouping preserves the intra-subtree order exactly.
+		byRoot = make([][]*Bicluster, s.Parent.Cols())
+		for _, b := range s.ParentResult.Clusters {
+			if len(b.Chain) == 0 || b.Chain[0] < 0 || b.Chain[0] >= len(byRoot) {
+				reason = "parent result malformed"
+				break
+			}
+			byRoot[b.Chain[0]] = append(byRoot[b.Chain[0]], b)
+		}
 	}
-	info := IncrementalInfo{
-		Incremental:    true,
-		SubtreesReused: oldConds - nDirtyOld,
-		SubtreesMined:  conds - oldConds + nDirtyOld,
+	if reason != "" {
+		s.info = IncrementalInfo{Fallback: reason}
+		return localPool{}.Produce(run)
 	}
-	if firstErr != nil {
-		return Stats{}, info, firstErr
+	_, parentKern, err := resolveModels(s.Parent, run.Params, s.ParentModels, nil)
+	if err != nil {
+		run.Fail(err)
+		return func() {}
+	}
+	s.info.Incremental = true
+	s.info.SubtreesReused = run.Matrix.Cols() - s.info.SubtreesMined
+	isp := run.Span.Start("incremental.mine")
+	if isp != nil {
+		isp.SetInt("subtrees_mined", int64(s.info.SubtreesMined))
+		isp.SetInt("subtrees_reused", int64(s.info.SubtreesReused))
 	}
 
-	// Exact aggregate: the parent's total, minus each dirty old subtree's
-	// parent-side contribution, plus each dirty subtree's child-side stats.
-	// Clean subtrees are untouched on both sides, so the sum telescopes to
-	// exactly what a cold mine of the child totals.
-	agg := parentResult.Stats
-	for c := 0; c < conds; c++ {
-		if !dirty[c] {
+	// Dirty subtrees on the child in dispatch order, then their parent-side
+	// stats re-mines: output order is fixed by the merger, so task order
+	// only balances the pool.
+	var tasks, parentTasks []func()
+	s.parentStats = make([]Stats, s.Parent.Cols())
+	for _, c := range run.Order {
+		if !s.dirty[c] {
 			continue
 		}
-		if c < oldConds {
-			agg.sub(parentStats[c])
+		tasks = append(tasks, func() { e.mineSubtree(c, isp) })
+		if c < s.Parent.Cols() {
+			parentTasks = append(parentTasks, func() {
+				mn := newMiner(s.Parent, run.Params, parentKern, e.bud)
+				mn.sink = func(*Bicluster, int) bool { return true }
+				mn.runFrom(c)
+				s.parentStats[c] = mn.stats
+			})
 		}
-		agg.Add(childStats[c])
 	}
+	stop := e.startPool(run.workers, append(tasks, parentTasks...))
+	for c, clusters := range byRoot {
+		if s.dirty[c] {
+			continue
+		}
+		batch := make([]SubtreeCluster, len(clusters))
+		for i, b := range clusters {
+			batch[i].Cluster = b
+		}
+		run.Push(c, batch)
+		run.Finish(c, Stats{Clusters: len(clusters)})
+		s.spliced += len(clusters)
+		if e.obs != nil {
+			// Re-mined clusters tick the live counter at discovery inside the
+			// miner; spliced ones tick here so the final count covers the
+			// whole stream.
+			e.obs.clusters.Add(int64(len(clusters)))
+		}
+	}
+	return func() {
+		stop()
+		isp.End()
+	}
+}
 
-	for c := 0; c < conds; c++ {
-		clusters, spliced := childClusters[c], false
-		if !dirty[c] {
-			clusters, spliced = parentByRoot[c], true
-		}
-		for _, b := range clusters {
-			if spliced && o != nil {
-				// Re-mined clusters tick the live counter at discovery inside
-				// the miner; spliced ones tick here so the final Observer
-				// cluster count covers the whole stream.
-				o.clusters.Add(1)
-			}
-			if !visit(b) {
-				agg.Truncated = true
-				return agg, info, nil
-			}
+// settle adds the clean subtrees' Stats once every dirty subtree and parent
+// re-mine has finished: the parent's total, minus each dirty old subtree's
+// parent-side contribution, is exactly what the clean subtrees total, and
+// the merger has so far counted only their clusters.
+func (s *Splice) settle(e *engine, agg *Stats) error {
+	if !s.info.Incremental || agg.Truncated {
+		return nil
+	}
+	e.wg.Wait()
+	if err := e.err(); err != nil {
+		return err
+	}
+	clean := s.ParentResult.Stats
+	for c, st := range s.parentStats {
+		if s.dirty[c] {
+			clean.sub(st)
 		}
 	}
-	return agg, info, nil
+	clean.Clusters -= s.spliced
+	agg.Add(clean)
+	return nil
 }

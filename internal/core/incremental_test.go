@@ -2,15 +2,27 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"regcluster/internal/faultinject"
 	"regcluster/internal/matrix"
 	"regcluster/internal/rwave"
 )
+
+// mineIncremental runs child through Run with a Splice source over the
+// parent, returning the Stats and the Splice's report.
+func mineIncremental(ctx context.Context, child, parent *matrix.Matrix, p Params, workers int,
+	visit Visitor, o *Observer, childModels, parentModels []*rwave.Model, parentResult *Result) (Stats, IncrementalInfo, error) {
+	s := &Splice{Parent: parent, ParentModels: parentModels, ParentResult: parentResult}
+	stats, err := runStats(Run(ctx, child, p, Options{Workers: workers, Visit: visit, Observer: o, Models: childModels, Source: s}))
+	return stats, s.Info(), err
+}
 
 // TestStatsSubInvertsAdd mirrors TestStatsAddCoversAllFields: every counter
 // set by reflection must survive an Add followed by a sub unchanged, so a
@@ -140,7 +152,7 @@ func TestDifferentialRepairVsBuildModels(t *testing.T) {
 }
 
 // TestDifferentialIncrementalVsCold is the tentpole differential: on random
-// append deltas across all threshold schemes, MineIncremental's cluster
+// append deltas across all threshold schemes, the Splice source's cluster
 // stream and Stats must be byte-identical to a cold parallel mine of the
 // grown matrix, at 1, 2 and 8 workers. Runs under -race in CI.
 func TestDifferentialIncrementalVsCold(t *testing.T) {
@@ -159,7 +171,7 @@ func TestDifferentialIncrementalVsCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: parent models: %v", label, err)
 			}
-			parentRes, err := MineParallelWithModels(parent, p, 4, parentModels)
+			parentRes, err := Run(context.Background(), parent, p, Options{Workers: 4, Models: parentModels})
 			if err != nil {
 				t.Fatalf("%s: parent mine: %v", label, err)
 			}
@@ -167,13 +179,13 @@ func TestDifferentialIncrementalVsCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: repair: %v", label, err)
 			}
-			cold, err := MineParallelWithModels(child, p, 4, childModels)
+			cold, err := Run(context.Background(), child, p, Options{Workers: 4, Models: childModels})
 			if err != nil {
 				t.Fatalf("%s: cold mine: %v", label, err)
 			}
 			for _, workers := range []int{1, 2, 8} {
 				var got []*Bicluster
-				stats, info, err := MineIncremental(context.Background(), child, parent, p, workers,
+				stats, info, err := mineIncremental(context.Background(), child, parent, p, workers,
 					func(b *Bicluster) bool { got = append(got, b); return true },
 					nil, childModels, parentModels, parentRes)
 				if err != nil {
@@ -219,7 +231,7 @@ func TestMineIncrementalFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parentRes, err := MineParallelWithModels(parent, p, 1, parentModels)
+	parentRes, err := Run(context.Background(), parent, p, Options{Workers: 1, Models: parentModels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,12 +283,12 @@ func TestMineIncrementalFallbacks(t *testing.T) {
 		{"values rewritten", rewritten, parent, p, rewrittenModels, parentRes, "parent values rewritten"},
 	}
 	for _, tc := range cases {
-		cold, err := MineParallelWithModels(tc.m, tc.p, 1, tc.models)
+		cold, err := Run(context.Background(), tc.m, tc.p, Options{Workers: 1, Models: tc.models})
 		if err != nil {
 			t.Fatalf("%s: cold mine: %v", tc.name, err)
 		}
 		var got []*Bicluster
-		stats, info, err := MineIncremental(context.Background(), tc.m, tc.parent, tc.p, 1,
+		stats, info, err := mineIncremental(context.Background(), tc.m, tc.parent, tc.p, 1,
 			func(b *Bicluster) bool { got = append(got, b); return true },
 			nil, tc.models, parentModels, tc.parentRes)
 		if err != nil {
@@ -302,7 +314,7 @@ func TestMineIncrementalVisitorStop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parentRes, err := MineParallelWithModels(parent, p, 2, parentModels)
+		parentRes, err := Run(context.Background(), parent, p, Options{Workers: 2, Models: parentModels})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +322,7 @@ func TestMineIncrementalVisitorStop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := MineParallelWithModels(child, p, 2, childModels)
+		cold, err := Run(context.Background(), child, p, Options{Workers: 2, Models: childModels})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +330,7 @@ func TestMineIncrementalVisitorStop(t *testing.T) {
 			continue
 		}
 		var got []*Bicluster
-		stats, _, err := MineIncremental(context.Background(), child, parent, p, 2,
+		stats, _, err := mineIncremental(context.Background(), child, parent, p, 2,
 			func(b *Bicluster) bool { got = append(got, b); return len(got) < 1 },
 			nil, childModels, parentModels, parentRes)
 		if err != nil {
@@ -345,7 +357,7 @@ func TestMineIncrementalCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parentRes, err := MineParallelWithModels(parent, p, 2, parentModels)
+	parentRes, err := Run(context.Background(), parent, p, Options{Workers: 2, Models: parentModels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,10 +367,59 @@ func TestMineIncrementalCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = MineIncremental(ctx, child, parent, p, 2,
+	_, _, err = mineIncremental(ctx, child, parent, p, 2,
 		func(*Bicluster) bool { return true },
 		nil, childModels, parentModels, parentRes)
 	if err == nil {
 		t.Fatal("cancelled context produced no error")
 	}
+}
+
+// TestSpliceWorkerPanicContained: a panic while mining a dirty subtree on
+// the incremental path must surface as a *PanicError from Run, like the
+// cold pool's, and the same inputs must succeed once the fault is gone.
+func TestSpliceWorkerPanicContained(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	rng := rand.New(rand.NewSource(13))
+	p := Params{MinG: 2, MinC: 2, Gamma: 1, AbsoluteGamma: true, Epsilon: 0.5}
+	for trial := 0; trial < 20; trial++ {
+		parent, child := grownMatrix(t, rng, 6, 5, 1)
+		parentModels, err := BuildModels(parent, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parentRes, err := Run(context.Background(), parent, p, Options{Models: parentModels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		childModels, _, err := RepairModels(child, p, parentModels, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mine := func(workers int) (IncrementalInfo, error) {
+			_, info, err := mineIncremental(context.Background(), child, parent, p, workers,
+				func(*Bicluster) bool { return true }, nil, childModels, parentModels, parentRes)
+			return info, err
+		}
+		if info, err := mine(2); err != nil || !info.Incremental {
+			continue // this delta falls back to the pool; try another
+		}
+		for _, workers := range []int{1, 2} {
+			disarm := faultinject.Arm("core.mine.subtree", faultinject.Spec{Panic: "boom in a dirty subtree", Times: 1})
+			info, err := mine(workers)
+			disarm()
+			var perr *PanicError
+			if !errors.As(err, &perr) || !strings.Contains(perr.Error(), "boom in a dirty subtree") || len(perr.Stack) == 0 {
+				t.Fatalf("workers=%d: err = %v, want the contained *PanicError with a stack", workers, err)
+			}
+			if !info.Incremental {
+				t.Fatalf("workers=%d: the panicking run did not take the incremental path", workers)
+			}
+			if _, err := mine(workers); err != nil {
+				t.Fatalf("workers=%d: post-panic run failed: %v", workers, err)
+			}
+		}
+		return
+	}
+	t.Fatal("no trial took the incremental path")
 }

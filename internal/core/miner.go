@@ -34,41 +34,9 @@ type extMember struct {
 }
 
 // Mine discovers all reg-clusters of m under p (Definition 3.2), returning
-// them in deterministic depth-first enumeration order.
+// them in deterministic depth-first enumeration order on one goroutine.
 func Mine(m *matrix.Matrix, p Params) (*Result, error) {
-	return MineContext(context.Background(), m, p)
-}
-
-// MineContext is Mine with cooperative cancellation: the search checks the
-// context at every node and candidate boundary and, once it expires, stops
-// promptly and returns the context's error. The cancellation point is not
-// deterministic, so no partial result is returned.
-func MineContext(ctx context.Context, m *matrix.Matrix, p Params) (*Result, error) {
-	mn, err := mineSequential(ctx, m, p, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Clusters: mn.out, Stats: mn.stats}, nil
-}
-
-// mineSequential runs one single-threaded mining session. With a nil visitor
-// the clusters accumulate on the returned miner's out slice; otherwise they
-// stream to the visitor as MineFunc documents. A non-nil models slice reuses
-// a prebuilt RWave index instead of building one (see BuildModels).
-func mineSequential(ctx context.Context, m *matrix.Matrix, p Params, models []*rwave.Model, visit Visitor) (*miner, error) {
-	_, kern, err := resolveModels(m, p, models, nil)
-	if err != nil {
-		return nil, err
-	}
-	mn := newMiner(m, p, kern, newBudget(p, ctx))
-	if visit != nil {
-		mn.sink = func(b *Bicluster, _ int) bool { return visit(b) }
-	}
-	mn.run()
-	if err := mn.bud.contextErr(); err != nil {
-		return nil, err
-	}
-	return mn, nil
+	return Run(context.Background(), m, p, Options{Workers: 1})
 }
 
 // validateInputs checks everything that gates a mining run or an index build:
@@ -89,7 +57,7 @@ func validateInputs(m *matrix.Matrix, p Params) error {
 
 // prepare validates the inputs, builds the per-gene RWave models — fanning
 // the construction out across CPUs for large gene counts (the models are
-// independent per gene, and MineParallel shares the one resulting slice
+// independent per gene, and a Run shares the one resulting slice
 // between all workers and reconciliation reruns) — and packs the fresh set
 // into a contiguous ModelSlab (rwave.PackModels), so every downstream miner
 // walks a few large cache-friendly backing arrays instead of ~nGenes

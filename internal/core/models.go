@@ -17,7 +17,7 @@ import (
 // the budget caps. Parameter sweeps that vary only those knobs can therefore
 // build the index once and re-mine many times; this file is that surface:
 // BuildModels constructs a shareable model set, ModelKey names it
-// canonically, and the Mine*WithModels entry points accept it.
+// canonically, and Run accepts it through Options.Models.
 
 // RWaveModel aliases rwave.Model so callers above internal/ (the facade, the
 // service layer) can hold and exchange prebuilt model sets without importing
@@ -27,9 +27,8 @@ type RWaveModel = rwave.Model
 // BuildModels validates (m, p) and constructs the per-gene RWave models that
 // Mine would build internally, fanning the construction across CPUs for large
 // gene counts. The result is immutable after construction and safe to share:
-// between concurrent Mine*WithModels calls, across worker pools, and across
-// any number of runs whose parameters agree on the γ-scheme — i.e. have the
-// same ModelKey. Varying Epsilon, MinG, MinC, the caps, or the ablation
+// between concurrent Runs, across worker pools, and across any number of
+// runs whose parameters agree on the γ-scheme — i.e. have the same ModelKey. Varying Epsilon, MinG, MinC, the caps, or the ablation
 // switches does not invalidate a model set.
 //
 // A non-nil Observer with an attached span records the construction as an
@@ -64,42 +63,9 @@ func ModelKey(datasetHash string, p Params) string {
 	return datasetHash + "|" + scheme
 }
 
-// MineWithModels is Mine reusing a prebuilt model set: models must come from
-// a BuildModels call on the same matrix with a ModelKey-equivalent Params.
-// Output is byte-identical to Mine(m, p).
-func MineWithModels(m *matrix.Matrix, p Params, models []*rwave.Model) (*Result, error) {
-	mn, err := mineSequential(context.Background(), m, p, models, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Clusters: mn.out, Stats: mn.stats}, nil
-}
-
-// MineParallelWithModels is MineParallel reusing a prebuilt model set, with
-// the same determinism guarantee: results are identical to Mine's for any
-// worker count.
-func MineParallelWithModels(m *matrix.Matrix, p Params, workers int, models []*rwave.Model) (*Result, error) {
-	res := &Result{}
-	stats, err := mineParallelOpts(nil, m, p, workers, func(b *Bicluster) bool {
-		res.Clusters = append(res.Clusters, b)
-		return true
-	}, mineOpts{models: models})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stats
-	return res, nil
-}
-
-// MineParallelFuncResumableWithModels is MineParallelFuncResumable reusing a
-// prebuilt model set: the full-option streaming entry (cancellation, live
-// progress, checkpoint/resume) for callers that amortize the RWave build
-// across jobs — the service's model cache in particular.
+// MineParallelFuncResumableWithModels is Run with every option spelled as
+// a parameter. It stays because the perfbench module calls it and must
+// build against earlier versions of this package too; new code calls Run.
 func MineParallelFuncResumableWithModels(ctx context.Context, m *matrix.Matrix, p Params, workers int, visit Visitor, obs *Observer, resume *Checkpoint, ck CheckpointConfig, models []*rwave.Model) (Stats, error) {
-	if resume != nil {
-		if err := resume.Validate(m.Cols()); err != nil {
-			return Stats{}, err
-		}
-	}
-	return mineParallelOpts(ctx, m, p, workers, visit, mineOpts{obs: obs, resume: resume, ck: ck, models: models})
+	return runStats(Run(ctx, m, p, Options{Workers: workers, Visit: visit, Observer: obs, Resume: resume, Checkpoint: ck, Models: models}))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -40,19 +41,19 @@ func TestWithModelsEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Mine variant: %v", err)
 				}
-				got, err := MineWithModels(m, p, models)
+				got, err := Run(context.Background(), m, p, Options{Workers: 1, Models: models})
 				if err != nil {
-					t.Fatalf("MineWithModels: %v", err)
+					t.Fatalf("sequential Run with models: %v", err)
 				}
 				if !reflect.DeepEqual(got, seqWant) {
-					t.Fatalf("MineWithModels diverges from Mine (ε=%v)", p.Epsilon)
+					t.Fatalf("sequential Run with models diverges from Mine (ε=%v)", p.Epsilon)
 				}
-				par, err := MineParallelWithModels(m, p, 4, models)
+				par, err := Run(context.Background(), m, p, Options{Workers: 4, Models: models})
 				if err != nil {
-					t.Fatalf("MineParallelWithModels: %v", err)
+					t.Fatalf("parallel Run with models: %v", err)
 				}
 				if !reflect.DeepEqual(par, seqWant) {
-					t.Fatalf("MineParallelWithModels diverges from Mine (ε=%v)", p.Epsilon)
+					t.Fatalf("parallel Run with models diverges from Mine (ε=%v)", p.Epsilon)
 				}
 			}
 			_ = want
@@ -97,13 +98,13 @@ func TestWithModelsRejectsBadInputs(t *testing.T) {
 	}
 	bad := p
 	bad.Epsilon = math.NaN()
-	if _, err := MineWithModels(m, bad, models); err == nil {
+	if _, err := Run(context.Background(), m, bad, Options{Workers: 1, Models: models}); err == nil {
 		t.Error("non-finite Epsilon accepted via WithModels")
 	}
-	if _, err := MineWithModels(m, p, models[:10]); err == nil {
+	if _, err := Run(context.Background(), m, p, Options{Workers: 1, Models: models[:10]}); err == nil {
 		t.Error("model/gene count mismatch accepted")
 	}
-	if _, err := MineParallelWithModels(m, p, 2, models[:10]); err == nil {
+	if _, err := Run(context.Background(), m, p, Options{Workers: 2, Models: models[:10]}); err == nil {
 		t.Error("model/gene count mismatch accepted by parallel entry")
 	}
 	if _, err := BuildModels(m, bad, nil); err == nil {

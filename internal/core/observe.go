@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
-	"regcluster/internal/matrix"
 	"regcluster/internal/obs"
 )
 
@@ -39,9 +37,7 @@ func (o *Observer) Clusters() int64 { return o.clusters.Load() }
 func (o *Observer) SetSpan(sp *obs.Span) { o.span.Store(sp) }
 
 // TraceSpan returns the currently attached span (nil when tracing is off);
-// nil-safe on a nil Observer. Callers that route mining through an external
-// engine — e.g. a distributed coordinator — use it to parent that engine's
-// spans under the same attempt span SetSpan armed.
+// nil-safe on a nil Observer.
 func (o *Observer) TraceSpan() *obs.Span { return o.traceSpan() }
 
 // traceSpan returns the attached span; nil-safe on a nil Observer.
@@ -50,21 +46,6 @@ func (o *Observer) traceSpan() *obs.Span {
 		return nil
 	}
 	return o.span.Load()
-}
-
-// MineParallelFuncContext is MineParallelFunc with cooperative cancellation:
-// every worker observes ctx at node and candidate boundaries, and once it
-// expires the call stops promptly and returns the context's error. Delivery
-// order and truncation semantics are otherwise identical to MineParallelFunc.
-func MineParallelFuncContext(ctx context.Context, m *matrix.Matrix, p Params, workers int, visit Visitor) (Stats, error) {
-	return mineParallel(ctx, m, p, workers, visit, nil)
-}
-
-// MineParallelFuncObserved is MineParallelFuncContext with live progress
-// reporting: the miners increment obs (when non-nil) as they visit nodes and
-// emit clusters, so concurrent readers can watch the run advance.
-func MineParallelFuncObserved(ctx context.Context, m *matrix.Matrix, p Params, workers int, visit Visitor, obs *Observer) (Stats, error) {
-	return mineParallel(ctx, m, p, workers, visit, obs)
 }
 
 // ValidateWorkers reports whether a caller-supplied worker count is usable.

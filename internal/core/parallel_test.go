@@ -34,10 +34,10 @@ func assertSameRun(t *testing.T, label string, seq *Result, gotClusters []*Biclu
 func collectParallelFunc(t *testing.T, m *matrix.Matrix, p Params, workers int) ([]*Bicluster, Stats) {
 	t.Helper()
 	var got []*Bicluster
-	stats, err := MineParallelFunc(m, p, workers, func(b *Bicluster) bool {
+	stats, err := runStats(Run(context.Background(), m, p, Options{Workers: workers, Visit: func(b *Bicluster) bool {
 		got = append(got, b)
 		return true
-	})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +45,8 @@ func collectParallelFunc(t *testing.T, m *matrix.Matrix, p Params, workers int) 
 }
 
 // TestMinersEquivalentUntruncated pins the core contract on untruncated
-// runs: Mine, MineFunc, MineParallel and MineParallelFunc produce identical
-// cluster sequences and identical Stats.
+// runs: Mine and Run — sequential or parallel, collecting or streaming —
+// produce identical cluster sequences and identical Stats.
 func TestMinersEquivalentUntruncated(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		m := randomMatrix(60, 10, seed)
@@ -56,28 +56,28 @@ func TestMinersEquivalentUntruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 		var streamed []*Bicluster
-		fStats, err := MineFunc(m, p, func(b *Bicluster) bool {
+		fStats, err := runStats(Run(context.Background(), m, p, Options{Workers: 1, Visit: func(b *Bicluster) bool {
 			streamed = append(streamed, b)
 			return true
-		})
+		}}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameRun(t, "MineFunc", seq, streamed, fStats)
+		assertSameRun(t, "sequential visitor", seq, streamed, fStats)
 		for _, workers := range equivalenceWorkers {
-			par, err := MineParallel(m, p, workers)
+			par, err := Run(context.Background(), m, p, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRun(t, "MineParallel", seq, par.Clusters, par.Stats)
+			assertSameRun(t, "parallel", seq, par.Clusters, par.Stats)
 			got, stats := collectParallelFunc(t, m, p, workers)
-			assertSameRun(t, "MineParallelFunc", seq, got, stats)
+			assertSameRun(t, "parallel visitor", seq, got, stats)
 		}
 	}
 }
 
 // TestParallelTruncationMaxClusters is the headline bugfix property: with a
-// global MaxClusters cap, MineParallel must return exactly the truncated
+// global MaxClusters cap, a parallel Run must return exactly the truncated
 // sequential prefix — clusters AND stats — at any worker count.
 func TestParallelTruncationMaxClusters(t *testing.T) {
 	m := randomMatrix(60, 10, 1)
@@ -97,13 +97,13 @@ func TestParallelTruncationMaxClusters(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range equivalenceWorkers {
-			par, err := MineParallel(m, p, workers)
+			par, err := Run(context.Background(), m, p, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRun(t, "MineParallel", seq, par.Clusters, par.Stats)
+			assertSameRun(t, "parallel", seq, par.Clusters, par.Stats)
 			got, stats := collectParallelFunc(t, m, p, workers)
-			assertSameRun(t, "MineParallelFunc", seq, got, stats)
+			assertSameRun(t, "parallel visitor", seq, got, stats)
 		}
 	}
 }
@@ -131,13 +131,13 @@ func TestParallelTruncationMaxNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range equivalenceWorkers {
-			par, err := MineParallel(m, p, workers)
+			par, err := Run(context.Background(), m, p, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRun(t, "MineParallel", seq, par.Clusters, par.Stats)
+			assertSameRun(t, "parallel", seq, par.Clusters, par.Stats)
 			got, stats := collectParallelFunc(t, m, p, workers)
-			assertSameRun(t, "MineParallelFunc", seq, got, stats)
+			assertSameRun(t, "parallel visitor", seq, got, stats)
 		}
 	}
 }
@@ -163,18 +163,18 @@ func TestParallelTruncationBothCaps(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range equivalenceWorkers {
-			par, err := MineParallel(m, p, workers)
+			par, err := Run(context.Background(), m, p, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRun(t, "MineParallel", seq, par.Clusters, par.Stats)
+			assertSameRun(t, "parallel", seq, par.Clusters, par.Stats)
 		}
 	}
 }
 
 // TestParallelFuncVisitorEarlyStop: stopping the visitor after k clusters
 // must leave exactly the same delivered prefix and the same Stats as the
-// equivalent MineFunc early stop, at any worker count.
+// equivalent sequential early stop, at any worker count.
 func TestParallelFuncVisitorEarlyStop(t *testing.T) {
 	m := randomMatrix(60, 10, 1)
 	p := Params{MinG: 3, MinC: 3, Gamma: 0.05, Epsilon: 0.4}
@@ -187,10 +187,10 @@ func TestParallelFuncVisitorEarlyStop(t *testing.T) {
 	}
 	for _, stopAfter := range []int{1, 3, len(full.Clusters) - 1} {
 		var seqGot []*Bicluster
-		seqStats, err := MineFunc(m, p, func(b *Bicluster) bool {
+		seqStats, err := runStats(Run(context.Background(), m, p, Options{Workers: 1, Visit: func(b *Bicluster) bool {
 			seqGot = append(seqGot, b)
 			return len(seqGot) < stopAfter
-		})
+		}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,14 +200,14 @@ func TestParallelFuncVisitorEarlyStop(t *testing.T) {
 		seq := &Result{Clusters: seqGot, Stats: seqStats}
 		for _, workers := range equivalenceWorkers {
 			var got []*Bicluster
-			stats, err := MineParallelFunc(m, p, workers, func(b *Bicluster) bool {
+			stats, err := runStats(Run(context.Background(), m, p, Options{Workers: workers, Visit: func(b *Bicluster) bool {
 				got = append(got, b)
 				return len(got) < stopAfter
-			})
+			}}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRun(t, "MineParallelFunc early stop", seq, got, stats)
+			assertSameRun(t, "parallel visitor early stop", seq, got, stats)
 		}
 	}
 }
@@ -223,7 +223,7 @@ func TestParallelFuncStreamsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, stats := collectParallelFunc(t, m, p, 8)
-	assertSameRun(t, "MineParallelFunc order", seq, got, stats)
+	assertSameRun(t, "parallel visitor order", seq, got, stats)
 }
 
 func TestMineContextCancelled(t *testing.T) {
@@ -231,12 +231,12 @@ func TestMineContextCancelled(t *testing.T) {
 	cancel()
 	m := randomMatrix(40, 9, 5)
 	p := Params{MinG: 3, MinC: 3, Gamma: 0.05, Epsilon: 0.4}
-	if _, err := MineContext(ctx, m, p); err != context.Canceled {
-		t.Errorf("MineContext on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := Run(ctx, m, p, Options{Workers: 1}); err != context.Canceled {
+		t.Errorf("sequential Run on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	for _, workers := range equivalenceWorkers {
-		if _, err := MineParallelContext(ctx, m, p, workers); err != context.Canceled {
-			t.Errorf("MineParallelContext(workers=%d) on cancelled ctx: err = %v, want context.Canceled",
+		if _, err := Run(ctx, m, p, Options{Workers: workers}); err != context.Canceled {
+			t.Errorf("Run(workers=%d) on cancelled ctx: err = %v, want context.Canceled",
 				workers, err)
 		}
 	}
@@ -249,16 +249,16 @@ func TestMineContextBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MineContext(context.Background(), m, p)
+	res, err := Run(context.Background(), m, p, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameRun(t, "MineContext", seq, res.Clusters, res.Stats)
-	par, err := MineParallelContext(context.Background(), m, p, 4)
+	assertSameRun(t, "sequential with ctx", seq, res.Clusters, res.Stats)
+	par, err := Run(context.Background(), m, p, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameRun(t, "MineParallelContext", seq, par.Clusters, par.Stats)
+	assertSameRun(t, "parallel with ctx", seq, par.Clusters, par.Stats)
 }
 
 // TestSubtreeOrderLargestFirst checks the dispatch heuristic is a

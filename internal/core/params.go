@@ -33,9 +33,9 @@ type Params struct {
 	CustomGammas []float64
 
 	// MaxClusters, when positive, stops the search after that many clusters
-	// have been output. 0 means unlimited. The cap is global: MineParallel
-	// and MineParallelFunc enforce it across all workers and return exactly
-	// the clusters (and Stats) a truncated sequential Mine would.
+	// have been output. 0 means unlimited. The cap is global: Run enforces
+	// it across all workers and subtree sources and returns exactly the
+	// clusters (and Stats) a truncated sequential Mine would.
 	MaxClusters int
 	// MaxNodes, when positive, bounds the number of search-tree nodes
 	// visited; the search stops cleanly when exceeded. 0 means unlimited.

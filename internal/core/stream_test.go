@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -15,10 +16,10 @@ func TestMineFuncMatchesMine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamed []*Bicluster
-	stats, err := MineFunc(m, p, func(b *Bicluster) bool {
+	stats, err := runStats(Run(context.Background(), m, p, Options{Workers: 1, Visit: func(b *Bicluster) bool {
 		streamed = append(streamed, b)
 		return true
-	})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +47,10 @@ func TestMineFuncEarlyStop(t *testing.T) {
 		t.Skip("not enough clusters on this seed")
 	}
 	var streamed []*Bicluster
-	stats, err := MineFunc(m, p, func(b *Bicluster) bool {
+	stats, err := runStats(Run(context.Background(), m, p, Options{Workers: 1, Visit: func(b *Bicluster) bool {
 		streamed = append(streamed, b)
 		return len(streamed) < 3
-	})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +71,10 @@ func TestMineFuncEarlyStop(t *testing.T) {
 func TestMineFuncRunningExample(t *testing.T) {
 	m := paperdata.RunningExample()
 	var got []*Bicluster
-	_, err := MineFunc(m, runningParams(), func(b *Bicluster) bool {
+	_, err := runStats(Run(context.Background(), m, runningParams(), Options{Workers: 1, Visit: func(b *Bicluster) bool {
 		got = append(got, b)
 		return true
-	})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestMineFuncRunningExample(t *testing.T) {
 
 func TestMineFuncValidation(t *testing.T) {
 	m := paperdata.RunningExample()
-	if _, err := MineFunc(m, Params{MinG: 0, MinC: 2, Gamma: 0.1}, func(*Bicluster) bool { return true }); err == nil {
+	if _, err := runStats(Run(context.Background(), m, Params{MinG: 0, MinC: 2, Gamma: 0.1}, Options{Workers: 1, Visit: func(*Bicluster) bool { return true }})); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }

@@ -25,7 +25,7 @@ func tracedMine(t *testing.T, workers int, maxNodes int) (*obs.Node, Stats) {
 	root := tr.Start("mine")
 	var ob Observer
 	ob.SetSpan(root)
-	st, err := MineParallelFuncObserved(context.Background(), m, p, workers, func(*Bicluster) bool { return true }, &ob)
+	st, err := runStats(Run(context.Background(), m, p, Options{Workers: workers, Visit: func(*Bicluster) bool { return true }, Observer: &ob}))
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -122,13 +122,13 @@ func TestNoopObserverAddsNoAllocs(t *testing.T) {
 	visit := func(*Bicluster) bool { return true }
 	ctx := context.Background()
 	plain := testing.AllocsPerRun(10, func() {
-		if _, err := MineParallelFuncContext(ctx, m, p, 1, visit); err != nil {
+		if _, err := runStats(Run(ctx, m, p, Options{Workers: 1, Visit: visit})); err != nil {
 			t.Fatal(err)
 		}
 	})
 	var ob Observer
 	observed := testing.AllocsPerRun(10, func() {
-		if _, err := MineParallelFuncObserved(ctx, m, p, 1, visit, &ob); err != nil {
+		if _, err := runStats(Run(ctx, m, p, Options{Workers: 1, Visit: visit, Observer: &ob})); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -151,7 +151,7 @@ func BenchmarkMineNoopTracer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MineParallelFuncObserved(ctx, m, p, 1, visit, &ob); err != nil {
+		if _, err := runStats(Run(ctx, m, p, Options{Workers: 1, Visit: visit, Observer: &ob})); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,9 +46,10 @@ type Config struct {
 
 // Coordinator owns the distributed side of mining runs: it turns each run
 // into per-condition subtree work units, leases them to workers (remote over
-// HTTP, or in-process loops), enforces heartbeat TTLs, and folds completed
-// units through a core.SubtreeMerger so the output is byte-identical to a
-// single-node run. One Coordinator serves any number of concurrent runs.
+// HTTP, or in-process loops), enforces heartbeat TTLs, and pushes every
+// verified heartbeat batch into the run's core merger (it is a core.Source),
+// so the output is byte-identical to a single-node run. One Coordinator
+// serves any number of concurrent runs.
 type Coordinator struct {
 	cfg Config
 
@@ -72,38 +73,23 @@ type workerInfo struct {
 	lastSeen time.Time
 }
 
-// run is one distributed mining attempt (one jobManager.mine call).
+// run is one distributed mining attempt (one core.Run with this
+// coordinator as its Source).
 type run struct {
 	id      string
 	job     string
 	dataset string
-	m       *matrix.Matrix
-	p       core.Params
-	models  []*core.RWaveModel
+	sub     *core.Subtrees // the merger the run's units are pushed into
 	ctx     context.Context
-	span    *obs.Span
 
 	queue []int         // undispatched subtree conditions, dispatch order
 	units map[int]*unit // every subtree of this run, keyed by condition
-
-	completed chan int   // conditions whose unit just completed (buffered)
-	failed    chan error // first fatal unit error (buffered 1)
 }
 
-func (r *run) fail(err error) {
-	select {
-	case r.failed <- err:
-	default:
-	}
-}
-
-// unit is one subtree work item. All fields are guarded by Coordinator.mu
-// until complete is set; after that the run goroutine owns received/stats.
+// unit is one subtree work item. All fields are guarded by Coordinator.mu.
 type unit struct {
 	cond     int
-	received []core.SubtreeCluster // verified prefix of the subtree's clusters
-	stats    core.Stats
-	complete bool
+	received int    // verified prefix of the subtree's clusters, pushed to the merger
 	leaseID  string // current lease, "" when queued or complete
 	failures int    // explicit nacks
 }
@@ -181,131 +167,68 @@ func (c *Coordinator) Counters() (joined, issued, reassigned, completed int64) {
 	return c.joined.Load(), c.issued.Load(), c.reassigned.Load(), c.completed.Load()
 }
 
-// MineRequest describes one distributed mining run.
+// MineRequest names one distributed mining run. The matrix, Params, models,
+// resume point, checkpoint cadence and trace parent are the core.Run's own.
 type MineRequest struct {
-	Job       string         // host-side job id, for events and lease spans
-	Matrix    *matrix.Matrix // the dataset (coordinator-side copy)
-	DatasetID string         // content hash workers replicate by
-	Params    core.Params
-	Models    []*core.RWaveModel    // optional prebuilt RWave models
-	Resume    *core.Checkpoint      // optional resume position
-	Ck        core.CheckpointConfig // checkpoint emission, as in MineParallelFuncResumable
-	Span      *obs.Span             // optional trace parent
+	Job       string // host-side job id, for events and lease spans
+	DatasetID string // content hash workers replicate by
 	// LocalWorkers overrides Config.LocalWorkers for this run when nonzero
 	// (negative means none).
 	LocalWorkers int
 }
 
-// Mine runs req distributed and streams merged clusters to visit in exact
-// sequential order. It blocks until the run settles and returns Stats
-// byte-identical to a single-node MineParallelFuncResumable of the same
-// request, regardless of worker count, placement, or mid-run worker loss.
-func (c *Coordinator) Mine(ctx context.Context, req MineRequest, visit core.Visitor) (core.Stats, error) {
-	if req.Matrix == nil {
-		return core.Stats{}, fmt.Errorf("dist: MineRequest requires a matrix")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	models := req.Models
-	if models == nil {
-		var err error
-		if models, err = core.BuildModels(req.Matrix, req.Params, nil); err != nil {
-			return core.Stats{}, err
-		}
-	}
-	merger, err := core.NewSubtreeMerger(ctx, req.Matrix, req.Params, models, visit, req.Resume, req.Ck)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	merger.SetSpan(req.Span)
-	if merger.Done() { // checkpoint already covers the whole run
-		return merger.Result()
-	}
-	order, err := core.SubtreeOrder(req.Matrix, req.Params, models)
-	if err != nil {
-		return core.Stats{}, err
-	}
+// Source returns the core.Source that leases req's subtrees to this
+// coordinator's workers: pass it as core.Options.Source and core.Run
+// streams merged clusters in exact sequential order, with Stats identical
+// to a single-node run regardless of worker count, placement, or mid-run
+// worker loss.
+func (c *Coordinator) Source(req MineRequest) core.Source { return &source{c: c, req: req} }
 
-	runCtx, cancel := context.WithCancel(ctx)
-	r := c.startRun(runCtx, req, models, merger.NextCond(), order)
-	var wg sync.WaitGroup
-	defer func() {
-		cancel()
-		c.finishRun(r)
-		wg.Wait()
-	}()
-
-	nLocal := req.LocalWorkers
-	if nLocal == 0 {
-		nLocal = c.cfg.LocalWorkers
-	}
-	if nLocal == 0 {
-		nLocal = 1
-	}
-	for i := 0; i < nLocal; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.localWorker(runCtx, r)
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.revoker(runCtx, r)
-	}()
-
-	for !merger.Done() {
-		select {
-		case cond := <-r.completed:
-			c.mu.Lock()
-			u := r.units[cond]
-			part := &core.SubtreePartial{Cond: cond, Clusters: u.received, Stats: u.stats}
-			c.mu.Unlock()
-			if _, err := merger.Offer(part); err != nil {
-				return core.Stats{}, err
-			}
-		case err := <-r.failed:
-			return core.Stats{}, err
-		case <-ctx.Done():
-			return core.Stats{}, ctx.Err()
-		}
-	}
-	return merger.Result()
+type source struct {
+	c   *Coordinator
+	req MineRequest
 }
 
-func (c *Coordinator) startRun(ctx context.Context, req MineRequest, models []*core.RWaveModel, start int, order []int) *run {
-	queue := make([]int, 0, len(order))
-	for _, cond := range order {
-		if cond >= start {
-			queue = append(queue, cond)
-		}
-	}
-	units := make(map[int]*unit, len(queue))
-	for _, cond := range queue {
-		units[cond] = &unit{cond: cond}
-	}
-	r := &run{
-		job:       req.Job,
-		dataset:   req.DatasetID,
-		m:         req.Matrix,
-		p:         req.Params,
-		models:    models,
-		ctx:       ctx,
-		span:      req.Span,
-		queue:     queue,
-		units:     units,
-		completed: make(chan int, len(queue)+1),
-		failed:    make(chan error, 1),
+func (s *source) Produce(sub *core.Subtrees) func() {
+	c := s.c
+	ctx, cancel := context.WithCancel(context.Background())
+	r := &run{job: s.req.Job, dataset: s.req.DatasetID, sub: sub, ctx: ctx,
+		queue: sub.Order, units: make(map[int]*unit, len(sub.Order))}
+	for _, cond := range sub.Order {
+		r.units[cond] = &unit{cond: cond}
 	}
 	c.mu.Lock()
 	c.runSeq++
 	r.id = fmt.Sprintf("run-%06d", c.runSeq)
 	c.runs[r.id] = r
 	c.mu.Unlock()
-	c.logf("dist: run %s job %q: %d subtree units", r.id, r.job, len(queue))
-	return r
+	c.logf("dist: run %s job %q: %d subtree units", r.id, r.job, len(sub.Order))
+
+	nLocal := s.req.LocalWorkers
+	if nLocal == 0 {
+		nLocal = c.cfg.LocalWorkers
+	}
+	if nLocal == 0 {
+		nLocal = 1
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < nLocal; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.localWorker(ctx, r)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c.revoker(ctx, r)
+	}()
+	return func() {
+		cancel()
+		c.finishRun(r)
+		wg.Wait()
+	}
 }
 
 func (c *Coordinator) finishRun(r *run) {
@@ -368,10 +291,10 @@ func (c *Coordinator) take(worker string, local bool, only *run) *leaseState {
 		unit:    u,
 		worker:  worker,
 		local:   local,
-		skip:    len(u.received),
+		skip:    u.received,
 		expires: now.Add(c.ttl()),
 	}
-	if sp := r.span.Start("lease"); sp != nil {
+	if sp := r.sub.Span.Start("lease"); sp != nil {
 		sp.SetAttr("lease", ls.id)
 		sp.SetAttr("worker", worker)
 		sp.SetInt("cond", int64(cond))
@@ -393,7 +316,7 @@ func (c *Coordinator) wire(ls *leaseState) *Lease {
 		ID:      ls.id,
 		Run:     ls.run.id,
 		Dataset: ls.run.dataset,
-		Params:  ls.run.p,
+		Params:  ls.run.sub.Params,
 		Cond:    ls.unit.cond,
 		Skip:    ls.skip,
 		TTLMS:   c.ttl().Milliseconds(),
@@ -414,12 +337,12 @@ func (c *Coordinator) revokeLocked(ls *leaseState, reason string) Event {
 	}
 	endLeaseSpan(ls, "revoked")
 	return Event{Kind: EventLeaseReassigned, Worker: ls.worker, Job: r.job, Lease: ls.id,
-		Cond: u.cond, Skip: len(u.received), Reason: reason}
+		Cond: u.cond, Skip: u.received, Reason: reason}
 }
 
-// progress applies one heartbeat: batch append with watermark verification,
-// TTL extension, completion, or nack. It is the single merge entry point for
-// local and remote workers alike.
+// progress applies one heartbeat: a batch pushed into the merger after
+// watermark verification, TTL extension, completion, or nack. It is the
+// single merge entry point for local and remote workers alike.
 func (c *Coordinator) progress(req heartbeatRequest) heartbeatResponse {
 	now := time.Now()
 	c.mu.Lock()
@@ -445,12 +368,12 @@ func (c *Coordinator) progress(req heartbeatRequest) heartbeatResponse {
 		c.logf("dist: lease %s (cond %d) nacked by %s: %s", req.Lease, u.cond, req.Worker, req.Error)
 		c.notify(ev)
 		if failed {
-			r.fail(runErr)
+			r.sub.Fail(runErr)
 		}
 		return heartbeatResponse{OK: true}
 	}
 
-	if req.Ckpt.Cond != u.cond || req.Ckpt.Delivered != len(u.received)+len(req.Clusters) {
+	if req.Ckpt.Cond != u.cond || req.Ckpt.Delivered != u.received+len(req.Clusters) {
 		// A shipment that does not extend the verified prefix exactly —
 		// replayed, reordered, or from a confused holder. Revoke; the unit
 		// is re-leased from the watermark that did verify.
@@ -462,7 +385,10 @@ func (c *Coordinator) progress(req heartbeatRequest) heartbeatResponse {
 		return heartbeatResponse{Revoked: true}
 	}
 
-	u.received = append(u.received, req.Clusters...)
+	if len(req.Clusters) > 0 {
+		r.sub.Push(u.cond, req.Clusters)
+		u.received += len(req.Clusters)
+	}
 	ls.expires = now.Add(c.ttl())
 	if ls.span != nil && len(req.Clusters) > 0 {
 		ls.span.Add("clusters", int64(len(req.Clusters)))
@@ -479,17 +405,15 @@ func (c *Coordinator) progress(req heartbeatRequest) heartbeatResponse {
 		c.notify(ev)
 		return heartbeatResponse{Revoked: true}
 	}
-	u.stats = *req.Stats
-	u.complete = true
+	r.sub.Finish(u.cond, *req.Stats)
 	u.leaseID = ""
 	delete(c.leases, ls.id)
 	endLeaseSpan(ls, "completed")
 	c.completed.Add(1)
 	ev := Event{Kind: EventLeaseCompleted, Worker: req.Worker, Job: r.job, Lease: ls.id,
-		Cond: u.cond, Skip: len(u.received)}
+		Cond: u.cond, Skip: u.received}
 	c.mu.Unlock()
 	c.notify(ev)
-	r.completed <- u.cond // buffered to unit count; never blocks
 	return heartbeatResponse{OK: true}
 }
 
@@ -551,7 +475,7 @@ func (c *Coordinator) localWorker(ctx context.Context, r *run) {
 func (c *Coordinator) mineLocal(ctx context.Context, r *run, ls *leaseState) {
 	var batch []core.SubtreeCluster
 	emitted := 0
-	stats, err := core.MineSubtreeFunc(ctx, r.m, r.p, ls.unit.cond, r.models, func(sc core.SubtreeCluster) bool {
+	stats, err := core.MineSubtreeFunc(ctx, r.sub.Matrix, r.sub.Params, ls.unit.cond, r.sub.Models, func(sc core.SubtreeCluster) bool {
 		emitted++
 		if emitted <= ls.skip {
 			return true

@@ -1,10 +1,10 @@
 // Package dist turns the subtree work units of internal/core into a
 // coordinator/worker protocol over HTTP.
 //
-// A coordinator splits a mining job into per-condition level-1 subtrees
-// (core.SubtreeOrder), leases them to registered workers, and folds the
-// streamed partial results through core.SubtreeMerger — the same
-// reconciliation accounting the in-process parallel engine uses — so the
+// A coordinator is one of core.Run's subtree sources (see core.Source): it
+// leases the run's per-condition level-1 subtrees to registered workers in
+// the run's dispatch order and pushes every verified heartbeat batch into
+// the run's merger — the one that also serves the in-process pool — so the
 // distributed output is byte-identical to a single-node run for any number
 // or placement of workers.
 //

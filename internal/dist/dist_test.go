@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,6 +34,22 @@ func (s mapSource) Dataset(id string) (*matrix.Matrix, bool) {
 	return m, ok
 }
 
+// mineDist runs (m, p) through core.Run with c as its source, collecting
+// the delivered clusters; stopAfter > 0 stops the visitor after that many.
+func mineDist(ctx context.Context, c *Coordinator, req MineRequest, m *matrix.Matrix, p core.Params, o core.Options, stopAfter int) ([]*core.Bicluster, core.Stats, error) {
+	var got []*core.Bicluster
+	o.Visit = func(b *core.Bicluster) bool {
+		got = append(got, b)
+		return stopAfter <= 0 || len(got) < stopAfter
+	}
+	o.Source = c.Source(req)
+	res, err := core.Run(ctx, m, p, o)
+	if err != nil {
+		return got, core.Stats{}, err
+	}
+	return got, res.Stats, nil
+}
+
 func assertSameClusters(t *testing.T, want, got []*core.Bicluster) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -46,7 +63,11 @@ func assertSameClusters(t *testing.T, want, got []*core.Bicluster) {
 }
 
 // Two remote workers over real HTTP, no local mining: the merged stream and
-// Stats must be byte-identical to the single-node sequential miner.
+// Stats must be byte-identical to the single-node sequential miner, and both
+// workers must mine. The spread is made deterministic by events, not
+// timing: the run starts once both workers have joined, and the first lease
+// is not handed out until the second worker holds one too, so neither can
+// drain the queue alone.
 func TestDistributedMineByteIdenticalAcrossWorkers(t *testing.T) {
 	m, p := distTestMatrix(t)
 	want, err := core.Mine(m, p)
@@ -54,7 +75,28 @@ func TestDistributedMineByteIdenticalAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := m.Hash()
-	c := NewCoordinator(Config{LeaseTTL: 500 * time.Millisecond, Datasets: mapSource{id: m}, Logf: t.Logf})
+	var (
+		evMu       sync.Mutex
+		registered = make(chan struct{}, 2)
+		holders    = map[string]bool{}
+		bothLeased = make(chan struct{})
+	)
+	events := func(ev Event) {
+		switch ev.Kind {
+		case EventWorkerJoined:
+			registered <- struct{}{}
+		case EventLeaseIssued:
+			evMu.Lock()
+			if !holders[ev.Worker] {
+				if holders[ev.Worker] = true; len(holders) == 2 {
+					close(bothLeased)
+				}
+			}
+			evMu.Unlock()
+			<-bothLeased // called before the lease reaches its holder
+		}
+	}
+	c := NewCoordinator(Config{LeaseTTL: 5 * time.Second, Datasets: mapSource{id: m}, Events: events, Logf: t.Logf})
 	mux := http.NewServeMux()
 	c.Routes(mux)
 	srv := httptest.NewServer(mux)
@@ -66,16 +108,12 @@ func TestDistributedMineByteIdenticalAcrossWorkers(t *testing.T) {
 		workers[i] = NewWorker(WorkerConfig{Coordinator: srv.URL, Name: fmt.Sprintf("test-worker-%d", i)})
 		go workers[i].Run(wctx) //nolint:errcheck // cancelled at test end
 	}
+	<-registered
+	<-registered
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	var got []*core.Bicluster
-	stats, err := c.Mine(ctx, MineRequest{
-		Job: "job-e2e", Matrix: m, DatasetID: id, Params: p, LocalWorkers: -1,
-	}, func(b *core.Bicluster) bool {
-		got = append(got, b)
-		return true
-	})
+	got, stats, err := mineDist(ctx, c, MineRequest{Job: "job-e2e", DatasetID: id, LocalWorkers: -1}, m, p, core.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +181,7 @@ func TestDistributedMineSurvivesWorkerDeathMidLease(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	var got []*core.Bicluster
-	stats, err := c.Mine(ctx, MineRequest{
-		Job: "job-kill", Matrix: m, DatasetID: id, Params: p, LocalWorkers: -1,
-	}, func(b *core.Bicluster) bool {
-		got = append(got, b)
-		return true
-	})
+	got, stats, err := mineDist(ctx, c, MineRequest{Job: "job-kill", DatasetID: id, LocalWorkers: -1}, m, p, core.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,127 +200,261 @@ func TestDistributedMineSurvivesWorkerDeathMidLease(t *testing.T) {
 	}
 }
 
+// isolatedSubtree mines one subtree the way a worker does.
+func isolatedSubtree(t *testing.T, ctx context.Context, m *matrix.Matrix, p core.Params, cond int, models []*core.RWaveModel) ([]core.SubtreeCluster, core.Stats) {
+	t.Helper()
+	var clusters []core.SubtreeCluster
+	st, err := core.MineSubtreeFunc(ctx, m, p, cond, models, func(sc core.SubtreeCluster) bool {
+		clusters = append(clusters, sc)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clusters, st
+}
+
 // Deterministic watermark recovery, driving the lease protocol directly: a
 // holder ships half a subtree and vanishes; the re-issued lease must carry
 // Skip equal to exactly what the coordinator verified, and the re-mined
-// remainder must complete the run byte-identically.
+// remainder must complete the run byte-identically. Every subtree ships in
+// heartbeats of two clusters, and the merger streams them as they verify,
+// so the capped and visitor-stopped inputs trip inside subtrees that
+// arrived over several heartbeats; they must still give the sequential
+// miner's truncated clusters and Stats.
 func TestKilledWorkerResumesFromReceivedWatermark(t *testing.T) {
+	m, base := distTestMatrix(t)
+	models, err := core.BuildModels(m, base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.Mine(m, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		mut       func(*core.Params)
+		stopAfter int
+	}{
+		{"uncapped", func(*core.Params) {}, 0},
+		{"node_cap", func(p *core.Params) { p.MaxNodes = ref.Stats.Nodes / 3 }, 0},
+		{"cluster_cap", func(p *core.Params) { p.MaxClusters = ref.Stats.Clusters / 2 }, 0},
+		{"visitor_stop", func(*core.Params) {}, ref.Stats.Clusters/2 + 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := base
+			tc.mut(&p)
+			want, wantStats, err := mineSequential(m, p, tc.stopAfter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name != "uncapped" && !wantStats.Truncated {
+				t.Fatal("reference run not truncated; the case is vacuous")
+			}
+			if tc.name == "cluster_cap" || tc.name == "visitor_stop" {
+				root, n := want[len(want)-1].Chain[0], 0
+				for _, b := range ref.Clusters {
+					if b.Chain[0] == root {
+						n++
+					}
+				}
+				if n <= 2 {
+					t.Fatalf("truncating subtree has %d clusters, so it arrives in one heartbeat", n)
+				}
+			}
+			c := NewCoordinator(Config{LeaseTTL: 40 * time.Millisecond, Logf: t.Logf})
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+
+			var got []*core.Bicluster
+			var stats core.Stats
+			var mineErr error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				got, stats, mineErr = mineDist(ctx, c, MineRequest{LocalWorkers: -1}, m, p, core.Options{Models: models}, tc.stopAfter)
+			}()
+
+			killed := tc.name != "uncapped" // only the uncapped input kills a holder
+			killedShipped := 0
+			resumedSkip := -1
+			for {
+				select {
+				case <-done:
+					goto settled
+				default:
+				}
+				ls := c.take("w1", false, nil)
+				if ls == nil {
+					time.Sleep(3 * time.Millisecond)
+					continue
+				}
+				clusters, st := isolatedSubtree(t, ctx, m, p, ls.unit.cond, models)
+				rest := clusters[ls.skip:]
+				if !killed && ls.skip == 0 && len(rest) >= 4 {
+					// Ship half, then vanish: no Done, no further heartbeats.
+					killed = true
+					killedShipped = len(rest) / 2
+					for shipped := 0; shipped < killedShipped; shipped += 2 {
+						batch := rest[shipped:min(shipped+2, killedShipped)]
+						resp := c.progress(heartbeatRequest{Worker: "w1", Lease: ls.id, Clusters: batch,
+							Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: shipped + len(batch)}})
+						if !resp.OK {
+							t.Fatalf("half shipment rejected: %+v", resp)
+						}
+					}
+					continue
+				}
+				if ls.skip > 0 {
+					resumedSkip = ls.skip
+				}
+				for shipped := 0; ; shipped += 2 {
+					batch := rest[min(shipped, len(rest)):min(shipped+2, len(rest))]
+					final := shipped+2 >= len(rest)
+					hb := heartbeatRequest{Worker: "w1", Lease: ls.id, Clusters: batch,
+						Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: ls.skip + shipped + len(batch)}}
+					if final {
+						hb.Done, hb.Stats = true, &st
+					}
+					resp := c.progress(hb)
+					if resp.Revoked {
+						// Only a settled (truncated) run drops its leases.
+						<-done
+						if !wantStats.Truncated {
+							t.Fatalf("shipment revoked on an uncapped run: %+v", resp)
+						}
+						goto settled
+					}
+					if final {
+						break
+					}
+				}
+			}
+		settled:
+			if mineErr != nil {
+				t.Fatal(mineErr)
+			}
+			if !killed {
+				t.Fatal("never found a subtree worth killing; test is vacuous")
+			}
+			if tc.name == "uncapped" {
+				if resumedSkip != killedShipped {
+					t.Errorf("re-issued lease skip: want %d (received watermark), got %d", killedShipped, resumedSkip)
+				}
+				if _, _, reassigned, _ := c.Counters(); reassigned == 0 {
+					t.Error("revoker never reassigned the abandoned lease")
+				}
+			}
+			assertSameClusters(t, want, got)
+			if !reflect.DeepEqual(wantStats, stats) {
+				t.Errorf("stats: want %+v, got %+v", wantStats, stats)
+			}
+		})
+	}
+}
+
+// mineSequential is the single-node reference: one worker, the sequential
+// miner, stopped after stopAfter deliveries when positive.
+func mineSequential(m *matrix.Matrix, p core.Params, stopAfter int) ([]*core.Bicluster, core.Stats, error) {
+	var got []*core.Bicluster
+	res, err := core.Run(context.Background(), m, p, core.Options{Workers: 1, Visit: func(b *core.Bicluster) bool {
+		got = append(got, b)
+		return stopAfter <= 0 || len(got) < stopAfter
+	}})
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	return got, res.Stats, nil
+}
+
+// A heartbeat that does not extend the verified prefix of its own unit
+// exactly — a watermark ahead of what was shipped, a replayed (duplicate)
+// batch, a batch naming another subtree, or any heartbeat for a lease that
+// was revoked or already completed — must revoke instead of reaching the
+// merger, and the run must still merge byte-identically.
+func TestWatermarkMismatchRevokesLease(t *testing.T) {
 	m, p := distTestMatrix(t)
 	models, err := core.BuildModels(m, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Mine(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCoordinator(Config{LeaseTTL: 40 * time.Millisecond, Logf: t.Logf})
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	c := NewCoordinator(Config{LeaseTTL: time.Hour})
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-
 	var got []*core.Bicluster
 	var stats core.Stats
 	var mineErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		stats, mineErr = c.Mine(ctx, MineRequest{
-			Matrix: m, Params: p, Models: models, LocalWorkers: -1,
-		}, func(b *core.Bicluster) bool {
-			got = append(got, b)
-			return true
-		})
+		got, stats, mineErr = mineDist(ctx, c, MineRequest{LocalWorkers: -1}, m, p, core.Options{Models: models}, 0)
 	}()
-
-	killed := false
-	killedShipped := 0
-	resumedSkip := -1
-	for {
-		select {
-		case <-done:
-			goto settled
-		default:
-		}
-		ls := c.take("w1", false, nil)
-		if ls == nil {
-			time.Sleep(3 * time.Millisecond)
-			continue
-		}
-		part, err := core.MineSubtree(ctx, m, p, ls.unit.cond, models)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest := part.Clusters[ls.skip:]
-		if !killed && ls.skip == 0 && len(rest) >= 2 {
-			// Ship half, then vanish: no Done, no further heartbeats.
-			killed = true
-			killedShipped = len(rest) / 2
-			resp := c.progress(heartbeatRequest{Worker: "w1", Lease: ls.id,
-				Clusters: rest[:killedShipped],
-				Ckpt:     SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: killedShipped}})
-			if !resp.OK {
-				t.Fatalf("half shipment rejected: %+v", resp)
+	lease := func() *leaseState {
+		for {
+			if ls := c.take("w1", false, nil); ls != nil {
+				return ls
 			}
-			continue
-		}
-		if ls.skip > 0 {
-			resumedSkip = ls.skip
-		}
-		resp := c.progress(heartbeatRequest{Worker: "w1", Lease: ls.id, Clusters: rest,
-			Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: ls.skip + len(rest)},
-			Done: true, Stats: &part.Stats})
-		if !resp.OK || resp.Revoked {
-			t.Fatalf("completion rejected: %+v", resp)
+			time.Sleep(3 * time.Millisecond)
 		}
 	}
-settled:
+	revoked := func(label string, hb heartbeatRequest) {
+		t.Helper()
+		if resp := c.progress(hb); !resp.Revoked {
+			t.Fatalf("%s accepted: %+v", label, resp)
+		}
+	}
+
+	ls := lease()
+	revoked("inconsistent watermark", heartbeatRequest{Worker: "w1", Lease: ls.id,
+		Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: 7}}) // nothing shipped, claims 7
+	revoked("heartbeat for a revoked lease", heartbeatRequest{Worker: "w1", Lease: ls.id,
+		Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: 0}})
+
+	// Serve every unit honestly, probing the rejections along the way.
+	probed := false
+	for served := 0; served < m.Cols(); served++ {
+		ls := lease()
+		clusters, st := isolatedSubtree(t, ctx, m, p, ls.unit.cond, models)
+		if !probed && len(clusters) >= 2 {
+			probed = true
+			first := heartbeatRequest{Worker: "w1", Lease: ls.id, Clusters: clusters[:1],
+				Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: 1}}
+			if resp := c.progress(first); !resp.OK {
+				t.Fatalf("first batch rejected: %+v", resp)
+			}
+			revoked("duplicate batch", first)
+			ls = lease() // re-issued at the verified watermark
+			if ls.skip != 1 {
+				t.Fatalf("re-issued skip %d, want 1", ls.skip)
+			}
+			revoked("batch for another subtree", heartbeatRequest{Worker: "w1", Lease: ls.id, Clusters: clusters[1:2],
+				Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond + m.Cols(), Delivered: 2}})
+			ls = lease()
+		}
+		final := heartbeatRequest{Worker: "w1", Lease: ls.id, Clusters: clusters[ls.skip:],
+			Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: len(clusters)}, Done: true, Stats: &st}
+		if resp := c.progress(final); !resp.OK || resp.Revoked {
+			t.Fatalf("completion rejected: %+v", resp)
+		}
+		revoked("replayed final heartbeat", final)
+	}
+	<-done
 	if mineErr != nil {
 		t.Fatal(mineErr)
 	}
-	if !killed {
-		t.Fatal("never found a subtree worth killing; test is vacuous")
+	if !probed {
+		t.Fatal("no subtree had two clusters; the duplicate probe is vacuous")
 	}
-	if resumedSkip != killedShipped {
-		t.Errorf("re-issued lease skip: want %d (received watermark), got %d", killedShipped, resumedSkip)
-	}
-	if _, _, reassigned, _ := c.Counters(); reassigned == 0 {
-		t.Error("revoker never reassigned the abandoned lease")
+	want, err := core.Mine(m, p)
+	if err != nil {
+		t.Fatal(err)
 	}
 	assertSameClusters(t, want.Clusters, got)
 	if !reflect.DeepEqual(want.Stats, stats) {
 		t.Errorf("stats: want %+v, got %+v", want.Stats, stats)
 	}
-}
-
-// A heartbeat whose watermark does not extend the verified prefix exactly
-// must revoke the lease instead of corrupting the unit.
-func TestWatermarkMismatchRevokesLease(t *testing.T) {
-	m, p := distTestMatrix(t)
-	c := NewCoordinator(Config{LeaseTTL: time.Hour})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = c.Mine(ctx, MineRequest{Matrix: m, Params: p, LocalWorkers: -1}, func(*core.Bicluster) bool { return true })
-	}()
-	var ls *leaseState
-	for ls == nil {
-		if ls = c.take("w1", false, nil); ls == nil {
-			time.Sleep(3 * time.Millisecond)
-		}
-	}
-	resp := c.progress(heartbeatRequest{Worker: "w1", Lease: ls.id,
-		Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: 7}}) // nothing shipped, claims 7
-	if !resp.Revoked {
-		t.Fatalf("inconsistent watermark accepted: %+v", resp)
-	}
-	if resp := c.progress(heartbeatRequest{Worker: "w1", Lease: ls.id,
-		Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: 0}}); !resp.Revoked {
-		t.Fatalf("heartbeat for a revoked lease accepted: %+v", resp)
-	}
-	cancel()
-	<-done
 }
 
 // Satellite: a replica whose bytes do not hash to the advertised id must be
@@ -315,13 +481,7 @@ func TestWorkerRejectsCorruptReplica(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	var got []*core.Bicluster
-	_, err = c.Mine(ctx, MineRequest{
-		Job: "job-corrupt", Matrix: m, DatasetID: id, Params: p, LocalWorkers: -1,
-	}, func(b *core.Bicluster) bool {
-		got = append(got, b)
-		return true
-	})
+	got, _, err := mineDist(ctx, c, MineRequest{Job: "job-corrupt", DatasetID: id, LocalWorkers: -1}, m, p, core.Options{}, 0)
 	if err == nil {
 		t.Fatal("run with a corrupt replica source did not fail")
 	}
@@ -340,21 +500,20 @@ func TestWorkerRejectsCorruptReplica(t *testing.T) {
 	}
 }
 
-// Distributed runs resume from engine checkpoints like local ones: a run cut
-// by a visitor stop hands back a checkpoint, and a fresh distributed run
-// resumed from it delivers exactly the missing suffix.
+// Distributed runs resume from engine checkpoints like local ones: a fresh
+// distributed run resumed from any checkpoint a distributed run emitted
+// delivers exactly the missing suffix, with the uninterrupted run's Stats.
 func TestDistributedResumeFromCheckpoint(t *testing.T) {
 	m, p := distTestMatrix(t)
 	models, err := core.BuildModels(m, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var full []*core.Bicluster
 	ref, err := core.Mine(m, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full = ref.Clusters
+	full := ref.Clusters
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -362,37 +521,24 @@ func TestDistributedResumeFromCheckpoint(t *testing.T) {
 
 	// First run: capture cadence checkpoints, let it complete via local mining.
 	var cks []core.Checkpoint
-	var first []*core.Bicluster
-	if _, err := c.Mine(ctx, MineRequest{
-		Matrix: m, Params: p, Models: models,
-		Ck: core.CheckpointConfig{EveryClusters: 9, OnCheckpoint: func(ck core.Checkpoint) { cks = append(cks, ck) }},
-	}, func(b *core.Bicluster) bool {
-		first = append(first, b)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	assertSameClusters(t, full, first)
-	if len(cks) == 0 {
-		t.Fatal("no checkpoints emitted")
-	}
-	ck := cks[len(cks)/2]
-	if ck.Delivered() == 0 || ck.Delivered() >= len(full) {
-		t.Fatalf("checkpoint watermark %d not mid-run (of %d)", ck.Delivered(), len(full))
-	}
-
-	var tail []*core.Bicluster
-	stats, err := c.Mine(ctx, MineRequest{
-		Matrix: m, Params: p, Models: models, Resume: &ck,
-	}, func(b *core.Bicluster) bool {
-		tail = append(tail, b)
-		return true
-	})
+	first, _, err := mineDist(ctx, c, MineRequest{}, m, p, core.Options{Models: models,
+		Checkpoint: core.CheckpointConfig{EveryClusters: 9, OnCheckpoint: func(ck core.Checkpoint) { cks = append(cks, ck) }}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameClusters(t, full[ck.Delivered():], tail)
-	if !reflect.DeepEqual(ref.Stats, stats) {
-		t.Errorf("resumed stats: want %+v, got %+v", ref.Stats, stats)
+	assertSameClusters(t, full, first)
+	if len(cks) < 3 {
+		t.Fatalf("only %d checkpoints emitted", len(cks))
+	}
+	for i := range cks {
+		ck := cks[i]
+		tail, stats, err := mineDist(ctx, c, MineRequest{}, m, p, core.Options{Models: models, Resume: &ck}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameClusters(t, full[ck.Delivered():], tail)
+		if !reflect.DeepEqual(ref.Stats, stats) {
+			t.Errorf("resume from checkpoint %d: stats want %+v, got %+v", i, ref.Stats, stats)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"regcluster/internal/core"
+	"regcluster/internal/faultinject"
 	"regcluster/internal/matrix"
 	"regcluster/internal/report"
 )
@@ -182,7 +184,7 @@ func TestIncrementalJobEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := core.MineParallel(grown, p, 2)
+	cold, err := core.Run(context.Background(), grown, p, core.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +248,46 @@ func TestIncrementalJobEndToEnd(t *testing.T) {
 		if reflect.DeepEqual(g.Before.Members, g.After.Members) {
 			t.Fatalf("grown entry with identical members: %+v", g)
 		}
+	}
+}
+
+// TestIncrementalWorkerPanicFailsJobOnly: a worker panic on the incremental
+// path is contained like a cold one — the delta-lineage job settles failed
+// with the stack, and the same server then serves the same job, which takes
+// the subtree-reuse path.
+func TestIncrementalWorkerPanicFailsJobOnly(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	_, ts := newTestServer(t, Config{Logf: t.Logf})
+	p := incrParams()
+	parentID := uploadMatrix(t, ts, incrParentMatrix(), "parent")
+	pj := submitJob(t, ts, submitRequest{Dataset: parentID, Params: p, Workers: 2})
+	if v := waitTerminal(t, ts, pj.ID); v.Status != StatusDone {
+		t.Fatalf("parent job ended %s: %s", v.Status, v.Error)
+	}
+	child, status := appendDeltaHTTP(t, ts, parentID, "", incrDeltaMatrix())
+	if status != http.StatusCreated {
+		t.Fatalf("append status %d", status)
+	}
+
+	disarm := faultinject.Arm("core.mine.subtree", faultinject.Spec{Panic: "injected incremental panic", Times: 1})
+	fin := waitTerminal(t, ts, submitJob(t, ts, submitRequest{Dataset: child.ID, Params: p, Workers: 2}).ID)
+	disarm()
+	if fin.Status != StatusFailed || !strings.Contains(fin.Error, "injected incremental panic") {
+		t.Fatalf("panicked job ended %s (%q), want failed with the panic", fin.Status, fin.Error)
+	}
+	if !strings.Contains(fin.Stack, "goroutine") {
+		t.Fatalf("no stack captured: %q", fin.Stack)
+	}
+	if got := metricValue(t, ts, "regserver_panics_recovered_total"); got != 1 {
+		t.Fatalf("panics_recovered %d", got)
+	}
+
+	again := waitTerminal(t, ts, submitJob(t, ts, submitRequest{Dataset: child.ID, Params: p, Workers: 2}).ID)
+	if again.Status != StatusDone {
+		t.Fatalf("post-panic job ended %s (%s)", again.Status, again.Error)
+	}
+	if again.Incremental == nil || !again.Incremental.Incremental {
+		t.Fatalf("post-panic job did not take the incremental path: %+v", again.Incremental)
 	}
 }
 

@@ -79,7 +79,7 @@ func Mine(m *Matrix, p Params) (*Result, error) { return core.Mine(m, p) }
 // MineContext is Mine with cooperative cancellation: the search stops
 // promptly once ctx expires and returns the context's error.
 func MineContext(ctx context.Context, m *Matrix, p Params) (*Result, error) {
-	return core.MineContext(ctx, m, p)
+	return core.Run(ctx, m, p, core.Options{Workers: 1})
 }
 
 // Visitor receives mined clusters as the search discovers them; returning
@@ -89,7 +89,7 @@ type Visitor = core.Visitor
 // MineFunc streams reg-clusters to the visitor in Mine's enumeration order
 // instead of accumulating them, bounding memory and enabling early exit.
 func MineFunc(m *Matrix, p Params, visit Visitor) (Stats, error) {
-	return core.MineFunc(m, p, visit)
+	return runStats(core.Run(context.Background(), m, p, core.Options{Workers: 1, Visit: visit}))
 }
 
 // MineParallel mines the same cluster set as Mine with a worker pool over
@@ -98,26 +98,26 @@ func MineFunc(m *Matrix, p Params, visit Visitor) (Stats, error) {
 // same order, including runs truncated by the global MaxClusters/MaxNodes
 // caps.
 func MineParallel(m *Matrix, p Params, workers int) (*Result, error) {
-	return core.MineParallel(m, p, workers)
+	return core.Run(context.Background(), m, p, core.Options{Workers: workers})
 }
 
 // MineParallelContext is MineParallel with cooperative cancellation through
 // ctx, observed by every worker.
 func MineParallelContext(ctx context.Context, m *Matrix, p Params, workers int) (*Result, error) {
-	return core.MineParallelContext(ctx, m, p, workers)
+	return core.Run(ctx, m, p, core.Options{Workers: workers})
 }
 
 // MineParallelFunc streams reg-clusters to the visitor from a worker pool,
 // in the same deterministic order as MineFunc; a visitor stop halts all
 // workers and leaves exactly the sequential prefix.
 func MineParallelFunc(m *Matrix, p Params, workers int, visit Visitor) (Stats, error) {
-	return core.MineParallelFunc(m, p, workers, visit)
+	return runStats(core.Run(context.Background(), m, p, core.Options{Workers: workers, Visit: visit}))
 }
 
 // MineParallelFuncContext is MineParallelFunc with cooperative cancellation
 // through ctx, observed by every worker at node granularity.
 func MineParallelFuncContext(ctx context.Context, m *Matrix, p Params, workers int, visit Visitor) (Stats, error) {
-	return core.MineParallelFuncContext(ctx, m, p, workers, visit)
+	return runStats(core.Run(ctx, m, p, core.Options{Workers: workers, Visit: visit}))
 }
 
 // Observer exposes live, monotone node/cluster counters while a mining call
@@ -129,7 +129,7 @@ type Observer = core.Observer
 // MineParallelFuncObserved is MineParallelFuncContext with live progress
 // counters published to obs.
 func MineParallelFuncObserved(ctx context.Context, m *Matrix, p Params, workers int, visit Visitor, obs *Observer) (Stats, error) {
-	return core.MineParallelFuncObserved(ctx, m, p, workers, visit, obs)
+	return runStats(core.Run(ctx, m, p, core.Options{Workers: workers, Visit: visit, Observer: obs}))
 }
 
 // ValidateWorkers rejects worker counts above max (when max > 0). Zero and
@@ -160,13 +160,13 @@ func ModelKey(datasetHash string, p Params) string { return core.ModelKey(datase
 // same matrix with a ModelKey-equivalent Params; output is identical to
 // Mine(m, p).
 func MineWithModels(m *Matrix, p Params, models []*RWaveModel) (*Result, error) {
-	return core.MineWithModels(m, p, models)
+	return core.Run(context.Background(), m, p, core.Options{Workers: 1, Models: models})
 }
 
 // MineParallelWithModels is MineParallel reusing a prebuilt model set, with
 // the same determinism guarantee for any worker count.
 func MineParallelWithModels(m *Matrix, p Params, workers int, models []*RWaveModel) (*Result, error) {
-	return core.MineParallelWithModels(m, p, workers, models)
+	return core.Run(context.Background(), m, p, core.Options{Workers: workers, Models: models})
 }
 
 // AppendConditions grows base with the delta's columns: the delta must carry
@@ -208,7 +208,18 @@ type IncrementalInfo = core.IncrementalInfo
 // transparently runs the cold path instead.
 func MineIncremental(ctx context.Context, child, parent *Matrix, p Params, workers int,
 	visit Visitor, o *Observer, childModels, parentModels []*RWaveModel, parentResult *Result) (Stats, IncrementalInfo, error) {
-	return core.MineIncremental(ctx, child, parent, p, workers, visit, o, childModels, parentModels, parentResult)
+	splice := &core.Splice{Parent: parent, ParentModels: parentModels, ParentResult: parentResult}
+	stats, err := runStats(core.Run(ctx, child, p, core.Options{Workers: workers, Visit: visit, Observer: o, Models: childModels, Source: splice}))
+	return stats, splice.Info(), err
+}
+
+// runStats unpacks a streaming run's outcome for the entry points that
+// return Stats alone.
+func runStats(res *Result, err error) (Stats, error) {
+	if err != nil {
+		return Stats{}, err
+	}
+	return res.Stats, nil
 }
 
 // ThresholdsRangeFraction, ThresholdsMeanFraction and ThresholdsNearestPair
