@@ -119,6 +119,20 @@ func (s *scheduler) lowestQueuedClassLocked() int {
 	return lowest
 }
 
+// lowestWaitingClassLocked is lowestQueuedClassLocked counting admitted
+// reservations too: a submission is acknowledged before its job goroutine
+// enqueues, and admission must already see it as sheddable work, or a
+// higher-priority arrival in that window is rejected instead of displacing it.
+func (s *scheduler) lowestWaitingClassLocked() int {
+	lowest := numPriorities
+	for _, tq := range s.tenants {
+		if (len(tq.q) > 0 || tq.pending > 0) && tq.tn.priority < lowest {
+			lowest = tq.tn.priority
+		}
+	}
+	return lowest
+}
+
 // reserve claims admission capacity for n upcoming enqueues by tn. It
 // enforces the per-tenant queue bound, the concurrent-job quota, and — while
 // the shedder is active — refuses work that would immediately be shed.
@@ -143,14 +157,14 @@ func (s *scheduler) reserve(tn *tenant, n int, forced bool) error {
 				msg:        fmt.Sprintf("tenant %s: concurrent-job quota reached (%d active, limit %d)", tn.id, tq.occupancy(), tn.maxActive),
 			}
 		}
-		if s.shedding && tn.priority <= s.lowestQueuedClassLocked() {
+		if s.shedding && tn.priority <= s.lowestWaitingClassLocked() {
 			return &admissionError{
 				status:     429,
 				retryAfter: s.retryAfterLocked(s.queuedTotal),
 				msg:        fmt.Sprintf("server overloaded: shedding %s-priority work", priorityNames[tn.priority]),
 			}
 		}
-		if s.shedHigh > 0 && s.queuedTotal+s.pendingTot+n > s.shedHigh && tn.priority <= s.lowestQueuedClassLocked() {
+		if s.shedHigh > 0 && s.queuedTotal+s.pendingTot+n > s.shedHigh && tn.priority <= s.lowestWaitingClassLocked() {
 			// The global watermark is reached and this work does not outrank
 			// anything sheddable: reject it now instead of queueing it only
 			// to evict it.
