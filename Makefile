@@ -124,6 +124,7 @@ overload-smoke: build
 
 # Mine a dataset, append a one-condition delta, and re-mine: the second run
 # must take the incremental path (repaired models, dirty subtrees only) and
-# match a cold mine of the grown matrix byte for byte.
+# match a cold mine of the grown matrix byte for byte, also when a durable
+# server restarts between the parent and the child mine.
 incr-smoke: build
 	GO=$(GO) ./scripts/incr_smoke.sh

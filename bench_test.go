@@ -288,7 +288,7 @@ func BenchmarkIncrementalRemine(b *testing.B) {
 			}
 			n := 0
 			visit := func(*core.Bicluster) bool { n++; return true }
-			splice := &core.Splice{Parent: parent, ParentModels: parentModels, ParentResult: parentResult}
+			splice := &core.Splice{Parent: parent, ParentResult: parentResult}
 			if _, err := core.Run(context.Background(), grown, p, core.Options{Workers: workers, Visit: visit, Models: childModels, Source: splice}); err != nil {
 				b.Fatal(err)
 			}

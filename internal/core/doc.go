@@ -86,11 +86,13 @@
 // per level-1 subtree and one in-order merger that owns the exact sequential
 // accounting — caps, visitor stops, truncation reruns, checkpoints and the
 // resume watermark — and returns output identical to Mine's, clusters and
-// Stats, truncated runs included. A Source fills the buffers: the local
-// worker pool (the default, largest subtree first), a distributed
-// coordinator (package dist) pushing verified heartbeat batches, or Splice
-// (incremental.go) pushing the subtrees an append delta cannot change from
-// the parent result. Params.CustomGammas plugs in the alternative per-gene
+// Stats, truncated runs included, plus each subtree's isolated Stats
+// (Result.Subtrees) when the run completed without a resume. A Source fills
+// the buffers: the local worker pool (the default, largest subtree first), a
+// distributed coordinator (package dist) pushing verified heartbeat batches,
+// or Splice (incremental.go) pushing the subtrees an append delta cannot
+// change from the parent result, finished with the parent's per-subtree
+// Stats. Params.CustomGammas plugs in the alternative per-gene
 // regulation thresholds Section 3.1 mentions (thresholds.go).
 // CheckBicluster validates any cluster against Definition 3.2 directly from
 // the raw matrix, independent of the index and search.

@@ -44,23 +44,6 @@ type IncrementalInfo struct {
 	Fallback string `json:"fallback,omitempty"`
 }
 
-// sub removes a previously folded contribution from an aggregate — the
-// inverse of Add for every counter. Truncated is left untouched: callers only
-// subtract isolated subtree stats (never truncated) from untruncated parent
-// aggregates, which the Splice eligibility gate enforces.
-// TestStatsSubInvertsAdd pins full field coverage by reflection.
-func (s *Stats) sub(o Stats) {
-	s.Nodes -= o.Nodes
-	s.Clusters -= o.Clusters
-	s.Duplicates -= o.Duplicates
-	s.PrunedMinG -= o.PrunedMinG
-	s.PrunedMajority -= o.PrunedMajority
-	s.PrunedCoherence -= o.PrunedCoherence
-	s.MembersDroppedByLength -= o.MembersDroppedByLength
-	s.CandidatesExamined -= o.CandidatesExamined
-	s.NonFiniteH -= o.NonFiniteH
-}
-
 // gammaAbsFor resolves the absolute per-gene threshold (m, p) implies for
 // gene g, mirroring prepare's scheme dispatch: custom thresholds verbatim,
 // AbsoluteGamma verbatim, and otherwise the paper's Equation 4 relative form
@@ -150,10 +133,11 @@ func dirtyConditions(kern []rwave.Kernel, oldConds, conds int) []bool {
 // incrementalFallback names the first reason (parent, p, results) cannot take
 // the subtree-reuse path; empty means eligible. The checks guard exactly the
 // assumptions the splice relies on: a conditions-only append whose old values
-// and per-gene thresholds are unchanged, a complete (untruncated, uncapped)
-// parent result, and the default candidate enumeration whose reachability
-// argument the dirty bitmap encodes.
-func incrementalFallback(child, parent *matrix.Matrix, p Params, childModels, parentModels []*rwave.Model, parentResult *Result) string {
+// and per-gene thresholds are unchanged, a complete parent result with the
+// Stats of each subtree, no node cap (the merger would need the per-cluster
+// node ordinals the parent result does not keep), and the default candidate
+// enumeration whose reachability argument the dirty bitmap encodes.
+func incrementalFallback(child, parent *matrix.Matrix, p Params, parentResult *Result) string {
 	switch {
 	case parent == nil || parentResult == nil:
 		return "no parent result"
@@ -161,23 +145,21 @@ func incrementalFallback(child, parent *matrix.Matrix, p Params, childModels, pa
 		return "gene axis changed"
 	case child.Cols() <= parent.Cols():
 		return "no appended conditions"
-	case len(parentModels) != parent.Rows():
-		return "parent model set incomplete"
-	case p.MaxNodes > 0 || p.MaxClusters > 0:
-		return "budget caps require sequential accounting"
+	case p.MaxNodes > 0:
+		return "node cap requires per-cluster node ordinals"
 	case p.NaiveCandidates:
 		return "naive-candidates ablation"
 	case parentResult.Stats.Truncated:
 		return "parent result truncated"
+	case len(parentResult.Subtrees) != parent.Cols():
+		return "no per-subtree stats"
 	}
-	oldConds := parent.Cols()
 	for g := 0; g < child.Rows(); g++ {
-		cm, pm := childModels[g], parentModels[g]
-		if cm.Gamma() != pm.Gamma() {
+		if gammaAbsFor(child, p, g) != gammaAbsFor(parent, p, g) {
 			return "per-gene threshold drift"
 		}
-		for c := 0; c < oldConds; c++ {
-			if cm.ValueOf(c) != pm.ValueOf(c) {
+		for c := 0; c < parent.Cols(); c++ {
+			if child.At(g, c) != parent.At(g, c) {
 				return "parent values rewritten"
 			}
 		}
@@ -188,31 +170,25 @@ func incrementalFallback(child, parent *matrix.Matrix, p Params, childModels, pa
 // Splice is the incremental Source: it re-mines a child matrix grown by an
 // append-conditions delta over Parent, reusing ParentResult where the delta
 // provably cannot change it. Clean subtrees are pushed from ParentResult
-// verbatim; subtrees rooted at dirty conditions — the appended ones, plus old
-// conditions some gene regulates against an appended one — are mined on the
-// local pool. For each dirty old condition the pool also re-mines the parent
-// subtree stats-only (on ParentModels), so that once the merger settles the
-// clean subtrees' Stats can be added in one step: the parent's total minus
-// those parent-side contributions. The Run's output — cluster stream and
-// Stats — is byte-identical to a cold mine of the child.
+// verbatim and finished with their isolated Stats from
+// ParentResult.Subtrees; subtrees rooted at dirty conditions — the appended
+// ones, plus old conditions some gene regulates against an appended one —
+// are mined on the local pool. Every subtree thus reaches the merger exactly
+// as a cold run would produce it, so MaxClusters caps, visitor stops,
+// checkpoints and resume behave as they do for any source, and the Run's
+// output — cluster stream, Stats and Subtrees — is byte-identical to a cold
+// mine of the child.
 //
 // Ineligible inputs (gene-axis growth, per-gene threshold drift under
-// relative gamma, budget caps, checkpointing, a truncated parent, the
-// naive-candidates ablation) fall back to the local pool; Info reports which
-// path ran. After a visitor stop the returned Stats are the delivered prefix
-// (clean subtrees counted by their clusters only) with Truncated set, not a
-// cold run's mid-run accounting. The live Observer counts nodes only for
-// re-mined subtrees; cluster counts cover the full stream. A Splice serves
-// one Run.
+// relative gamma, a node cap, a truncated parent or one without per-subtree
+// Stats, the naive-candidates ablation) fall back to the local pool; Info
+// reports which path ran. The live Observer counts nodes only for re-mined
+// subtrees; cluster counts cover the full stream. A Splice serves one Run.
 type Splice struct {
 	Parent       *matrix.Matrix
-	ParentModels []*rwave.Model
 	ParentResult *Result
 
-	info        IncrementalInfo
-	dirty       []bool
-	parentStats []Stats // stats-only parent re-mines of dirty old subtrees
-	spliced     int     // clusters pushed from ParentResult
+	info IncrementalInfo
 }
 
 // Info reports how the Run that used s executed.
@@ -221,17 +197,14 @@ func (s *Splice) Info() IncrementalInfo { return s.info }
 // Produce implements Source.
 func (s *Splice) Produce(run *Subtrees) func() {
 	e := run.e
-	reason := incrementalFallback(run.Matrix, s.Parent, run.Params, run.Models, s.ParentModels, s.ParentResult)
-	if reason == "" && (e.start+e.skip > 0 || e.ck.enabled()) {
-		reason = "checkpointed runs need per-subtree stats"
-	}
-	var byRoot [][]*Bicluster
+	reason := incrementalFallback(run.Matrix, s.Parent, run.Params, s.ParentResult)
+	var dirty []bool
 	if reason == "" {
 		oldConds := s.Parent.Cols()
-		s.dirty = dirtyConditions(e.kern, oldConds, run.Matrix.Cols())
+		dirty = dirtyConditions(e.kern, oldConds, run.Matrix.Cols())
 		s.info.SubtreesMined = run.Matrix.Cols() - oldConds
 		for c := 0; c < oldConds; c++ {
-			if s.dirty[c] {
+			if dirty[c] {
 				s.info.SubtreesMined++
 			}
 		}
@@ -239,6 +212,7 @@ func (s *Splice) Produce(run *Subtrees) func() {
 			reason = "every subtree dirtied by the delta"
 		}
 	}
+	var byRoot [][]*Bicluster
 	if reason == "" {
 		// Group the parent's clusters by subtree root. Clusters arrive in
 		// starting-condition order with DFS order inside each subtree, so
@@ -251,46 +225,35 @@ func (s *Splice) Produce(run *Subtrees) func() {
 			}
 			byRoot[b.Chain[0]] = append(byRoot[b.Chain[0]], b)
 		}
+		for c, clusters := range byRoot {
+			if len(clusters) != s.ParentResult.Subtrees[c].Clusters {
+				reason = "parent result malformed"
+				break
+			}
+		}
 	}
 	if reason != "" {
 		s.info = IncrementalInfo{Fallback: reason}
 		return localPool{}.Produce(run)
 	}
-	_, parentKern, err := resolveModels(s.Parent, run.Params, s.ParentModels, nil)
-	if err != nil {
-		run.Fail(err)
-		return func() {}
-	}
 	s.info.Incremental = true
 	s.info.SubtreesReused = run.Matrix.Cols() - s.info.SubtreesMined
 	isp := run.Span.Start("incremental.mine")
-	if isp != nil {
-		isp.SetInt("subtrees_mined", int64(s.info.SubtreesMined))
-		isp.SetInt("subtrees_reused", int64(s.info.SubtreesReused))
-	}
+	isp.SetInt("subtrees_mined", int64(s.info.SubtreesMined))
+	isp.SetInt("subtrees_reused", int64(s.info.SubtreesReused))
 
-	// Dirty subtrees on the child in dispatch order, then their parent-side
-	// stats re-mines: output order is fixed by the merger, so task order
-	// only balances the pool.
-	var tasks, parentTasks []func()
-	s.parentStats = make([]Stats, s.Parent.Cols())
+	// Dirty subtrees mine on the pool in dispatch order; clean ones are
+	// pushed here, in starting-condition order, skipping any a resume
+	// snapshot already settled.
+	var tasks []func()
 	for _, c := range run.Order {
-		if !s.dirty[c] {
-			continue
-		}
-		tasks = append(tasks, func() { e.mineSubtree(c, isp) })
-		if c < s.Parent.Cols() {
-			parentTasks = append(parentTasks, func() {
-				mn := newMiner(s.Parent, run.Params, parentKern, e.bud)
-				mn.sink = func(*Bicluster, int) bool { return true }
-				mn.runFrom(c)
-				s.parentStats[c] = mn.stats
-			})
+		if dirty[c] {
+			tasks = append(tasks, func() { e.mineSubtree(c, isp) })
 		}
 	}
-	stop := e.startPool(run.workers, append(tasks, parentTasks...))
+	stop := e.startPool(run.workers, tasks)
 	for c, clusters := range byRoot {
-		if s.dirty[c] {
+		if dirty[c] || c < e.start {
 			continue
 		}
 		batch := make([]SubtreeCluster, len(clusters))
@@ -298,8 +261,7 @@ func (s *Splice) Produce(run *Subtrees) func() {
 			batch[i].Cluster = b
 		}
 		run.Push(c, batch)
-		run.Finish(c, Stats{Clusters: len(clusters)})
-		s.spliced += len(clusters)
+		run.Finish(c, s.ParentResult.Subtrees[c])
 		if e.obs != nil {
 			// Re-mined clusters tick the live counter at discovery inside the
 			// miner; spliced ones tick here so the final count covers the
@@ -311,27 +273,4 @@ func (s *Splice) Produce(run *Subtrees) func() {
 		stop()
 		isp.End()
 	}
-}
-
-// settle adds the clean subtrees' Stats once every dirty subtree and parent
-// re-mine has finished: the parent's total, minus each dirty old subtree's
-// parent-side contribution, is exactly what the clean subtrees total, and
-// the merger has so far counted only their clusters.
-func (s *Splice) settle(e *engine, agg *Stats) error {
-	if !s.info.Incremental || agg.Truncated {
-		return nil
-	}
-	e.wg.Wait()
-	if err := e.err(); err != nil {
-		return err
-	}
-	clean := s.ParentResult.Stats
-	for c, st := range s.parentStats {
-		if s.dirty[c] {
-			clean.sub(st)
-		}
-	}
-	clean.Clusters -= s.spliced
-	agg.Add(clean)
-	return nil
 }

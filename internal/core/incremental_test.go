@@ -18,37 +18,10 @@ import (
 // mineIncremental runs child through Run with a Splice source over the
 // parent, returning the Stats and the Splice's report.
 func mineIncremental(ctx context.Context, child, parent *matrix.Matrix, p Params, workers int,
-	visit Visitor, o *Observer, childModels, parentModels []*rwave.Model, parentResult *Result) (Stats, IncrementalInfo, error) {
-	s := &Splice{Parent: parent, ParentModels: parentModels, ParentResult: parentResult}
+	visit Visitor, o *Observer, childModels []*rwave.Model, parentResult *Result) (Stats, IncrementalInfo, error) {
+	s := &Splice{Parent: parent, ParentResult: parentResult}
 	stats, err := runStats(Run(ctx, child, p, Options{Workers: workers, Visit: visit, Observer: o, Models: childModels, Source: s}))
 	return stats, s.Info(), err
-}
-
-// TestStatsSubInvertsAdd mirrors TestStatsAddCoversAllFields: every counter
-// set by reflection must survive an Add followed by a sub unchanged, so a
-// Stats field extended into Add but forgotten in sub fails here instead of
-// silently skewing incremental aggregates.
-func TestStatsSubInvertsAdd(t *testing.T) {
-	var sentinel Stats
-	v := reflect.ValueOf(&sentinel).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		switch f.Kind() {
-		case reflect.Int:
-			f.SetInt(3)
-		case reflect.Bool:
-			f.SetBool(true)
-		default:
-			t.Fatalf("Stats field %s has unhandled kind %s — extend Stats.sub and this test",
-				v.Type().Field(i).Name, f.Kind())
-		}
-	}
-	got := sentinel
-	got.Add(sentinel)
-	got.sub(sentinel)
-	if !reflect.DeepEqual(got, sentinel) {
-		t.Fatalf("sub does not invert Add:\n  got  %+v\n  want %+v", got, sentinel)
-	}
 }
 
 // grownMatrix draws a random parent and appends k random conditions to it,
@@ -187,7 +160,7 @@ func TestDifferentialIncrementalVsCold(t *testing.T) {
 				var got []*Bicluster
 				stats, info, err := mineIncremental(context.Background(), child, parent, p, workers,
 					func(b *Bicluster) bool { got = append(got, b); return true },
-					nil, childModels, parentModels, parentRes)
+					nil, childModels, parentRes)
 				if err != nil {
 					t.Fatalf("%s workers %d: %v", label, workers, err)
 				}
@@ -261,8 +234,9 @@ func TestMineIncrementalFallbacks(t *testing.T) {
 	}
 	truncatedRes := &Result{Clusters: parentRes.Clusters, Stats: parentRes.Stats}
 	truncatedRes.Stats.Truncated = true
+	noSubtreesRes := &Result{Clusters: parentRes.Clusters, Stats: parentRes.Stats}
 	capped := p
-	capped.MaxClusters = 2
+	capped.MaxNodes = 20
 	naive := p
 	naive.NaiveCandidates = true
 
@@ -277,9 +251,10 @@ func TestMineIncrementalFallbacks(t *testing.T) {
 		{"no parent", child, nil, p, childModels, nil, "no parent result"},
 		{"gene axis changed", grownGenes, parent, p, grownGenesModels, parentRes, "gene axis changed"},
 		{"no appended conditions", parent, parent, p, parentModels, parentRes, "no appended conditions"},
-		{"caps set", child, parent, capped, childModels, parentRes, "budget caps require sequential accounting"},
+		{"node cap set", child, parent, capped, childModels, parentRes, "node cap requires per-cluster node ordinals"},
 		{"naive candidates", child, parent, naive, childModels, parentRes, "naive-candidates ablation"},
 		{"parent truncated", child, parent, p, childModels, truncatedRes, "parent result truncated"},
+		{"no per-subtree stats", child, parent, p, childModels, noSubtreesRes, "no per-subtree stats"},
 		{"values rewritten", rewritten, parent, p, rewrittenModels, parentRes, "parent values rewritten"},
 	}
 	for _, tc := range cases {
@@ -290,7 +265,7 @@ func TestMineIncrementalFallbacks(t *testing.T) {
 		var got []*Bicluster
 		stats, info, err := mineIncremental(context.Background(), tc.m, tc.parent, tc.p, 1,
 			func(b *Bicluster) bool { got = append(got, b); return true },
-			nil, tc.models, parentModels, tc.parentRes)
+			nil, tc.models, tc.parentRes)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -332,7 +307,7 @@ func TestMineIncrementalVisitorStop(t *testing.T) {
 		var got []*Bicluster
 		stats, _, err := mineIncremental(context.Background(), child, parent, p, 2,
 			func(b *Bicluster) bool { got = append(got, b); return len(got) < 1 },
-			nil, childModels, parentModels, parentRes)
+			nil, childModels, parentRes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +344,7 @@ func TestMineIncrementalCancelled(t *testing.T) {
 	cancel()
 	_, _, err = mineIncremental(ctx, child, parent, p, 2,
 		func(*Bicluster) bool { return true },
-		nil, childModels, parentModels, parentRes)
+		nil, childModels, parentRes)
 	if err == nil {
 		t.Fatal("cancelled context produced no error")
 	}
@@ -398,7 +373,7 @@ func TestSpliceWorkerPanicContained(t *testing.T) {
 		}
 		mine := func(workers int) (IncrementalInfo, error) {
 			_, info, err := mineIncremental(context.Background(), child, parent, p, workers,
-				func(*Bicluster) bool { return true }, nil, childModels, parentModels, parentRes)
+				func(*Bicluster) bool { return true }, nil, childModels, parentRes)
 			return info, err
 		}
 		if info, err := mine(2); err != nil || !info.Incremental {
@@ -422,4 +397,113 @@ func TestSpliceWorkerPanicContained(t *testing.T) {
 		return
 	}
 	t.Fatal("no trial took the incremental path")
+}
+
+// TestDifferentialSpliceCapsCheckpointsResume: with the parent's per-subtree
+// Stats, a Splice is an ordinary merger source. On random append deltas
+// across every threshold scheme, each run below must take the incremental
+// path and match the cold Run with the same options byte for byte —
+// clusters, Stats, Subtrees and checkpoint sequence:
+//   - MaxClusters caps 0 through 5;
+//   - a checkpoint after every delivered cluster;
+//   - a resume from every one of those checkpoints;
+//   - a visitor stop after every prefix of the output.
+//
+// Runs under -race in CI.
+func TestDifferentialSpliceCapsCheckpointsResume(t *testing.T) {
+	trials := 40
+	if testing.Short() {
+		trials = 10
+	}
+	rng := rand.New(rand.NewSource(20261018))
+	type outcome struct {
+		clusters []*Bicluster
+		snaps    []Checkpoint
+		res      *Result
+	}
+	run := func(t *testing.T, child *matrix.Matrix, p Params, workers int, models []*rwave.Model,
+		splice *Splice, resume *Checkpoint, every, stopAfter int) outcome {
+		t.Helper()
+		var out outcome
+		o := Options{Workers: workers, Models: models, Resume: resume, Visit: func(b *Bicluster) bool {
+			out.clusters = append(out.clusters, b)
+			return stopAfter <= 0 || len(out.clusters) < stopAfter
+		}}
+		if every > 0 {
+			o.Checkpoint = CheckpointConfig{EveryClusters: every, OnCheckpoint: func(ck Checkpoint) {
+				out.snaps = append(out.snaps, ck)
+			}}
+		}
+		if splice != nil {
+			o.Source = splice
+		}
+		res, err := Run(context.Background(), child, p, o)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		out.res = res
+		return out
+	}
+	covered, reused, resumes, stops := 0, 0, 0, 0
+	for i := 0; i < trials; i++ {
+		rows := 6 + rng.Intn(10)
+		parent, child := grownMatrix(t, rng, rows, 5+rng.Intn(5), 1+rng.Intn(2))
+		for pi, p := range incrSchemes(rng, rows) {
+			parentRes, err := Run(context.Background(), parent, p, Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			childModels, err := BuildModels(child, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := &Splice{Parent: parent, ParentResult: parentRes}
+			run(t, child, p, 1, childModels, probe, nil, 0, 0)
+			if !probe.Info().Incremental {
+				continue // relative-γ drift or a fully dirty delta: no splice to test
+			}
+			covered++
+			reused += probe.Info().SubtreesReused
+			workers := 1 + (i+pi)%3
+			check := func(label string, capped Params, resume *Checkpoint, every, stopAfter int) {
+				t.Helper()
+				label = fmt.Sprintf("trial %d scheme %d workers %d %s", i, pi, workers, label)
+				splice := &Splice{Parent: parent, ParentResult: parentRes}
+				got := run(t, child, capped, workers, childModels, splice, resume, every, stopAfter)
+				want := run(t, child, capped, workers, childModels, nil, resume, every, stopAfter)
+				if info := splice.Info(); !info.Incremental {
+					t.Fatalf("%s: fell back: %q", label, info.Fallback)
+				}
+				if !sameClustersExact(want.clusters, got.clusters) {
+					t.Fatalf("%s: clusters diverge\ncold: %v\ngot:  %v", label, want.clusters, got.clusters)
+				}
+				if !reflect.DeepEqual(want.res, got.res) {
+					t.Fatalf("%s: result diverges\ncold: %+v\ngot:  %+v", label, want.res, got.res)
+				}
+				if !reflect.DeepEqual(want.snaps, got.snaps) {
+					t.Fatalf("%s: checkpoints diverge\ncold: %+v\ngot:  %+v", label, want.snaps, got.snaps)
+				}
+			}
+			for maxClusters := 0; maxClusters <= 5; maxClusters++ {
+				capped := p
+				capped.MaxClusters = maxClusters
+				check(fmt.Sprintf("MaxClusters %d", maxClusters), capped, nil, 0, 0)
+			}
+			cold := run(t, child, p, workers, childModels, nil, nil, 1, 0)
+			check("checkpoint every cluster", p, nil, 1, 0)
+			for k, ck := range cold.snaps {
+				check(fmt.Sprintf("resume from checkpoint %d %+v", k, ck), p, &ck, 1, 0)
+				resumes++
+			}
+			for stop := 1; stop <= len(cold.clusters); stop++ {
+				check(fmt.Sprintf("visitor stop after %d", stop), p, nil, 0, stop)
+				stops++
+			}
+		}
+	}
+	if reused == 0 || resumes == 0 || stops == 0 {
+		t.Fatalf("vacuous: %d subtrees reused, %d resumes, %d visitor stops", reused, resumes, stops)
+	}
+	t.Logf("%d incremental (trial, scheme) pairs, %d subtrees reused, %d resumes, %d visitor stops",
+		covered, reused, resumes, stops)
 }

@@ -15,6 +15,11 @@ import (
 type Result struct {
 	Clusters []*Bicluster
 	Stats    Stats
+	// Subtrees holds the isolated Stats of each level-1 subtree, indexed by
+	// starting condition: what MineSubtreeFunc returns for that condition.
+	// It is set on every complete run that did not resume, and nil after a
+	// truncation or a resume. A Splice finishes clean subtrees with it.
+	Subtrees []Stats
 }
 
 // member is one (gene, direction) entry of the current search node: up means
@@ -142,20 +147,25 @@ func newMiner(m *matrix.Matrix, p Params, kern []rwave.Kernel, bud *budget) *min
 	return &miner{m: m, p: p, kern: kern, bud: bud, dedup: newDedupSet()}
 }
 
-func (mn *miner) run() {
+// run mines every level-1 subtree in starting-condition order and returns
+// each one's isolated Stats; mn.stats ends as their sum. Node ordinals passed
+// to the sink are therefore subtree-local, as MineSubtreeFunc's are.
+func (mn *miner) run() []Stats {
+	subtrees := make([]Stats, mn.m.Cols())
+	var total Stats
 	for c := 0; c < mn.m.Cols() && !mn.stop; c++ {
-		if mn.span == nil {
-			mn.runFrom(c)
-			continue
-		}
 		sp := mn.span.Start("subtree")
-		n0, k0 := mn.stats.Nodes, mn.stats.Clusters
+		mn.stats = Stats{}
 		mn.runFrom(c)
+		subtrees[c] = mn.stats
+		total.Add(mn.stats)
 		sp.SetInt("cond", int64(c))
-		sp.Add("nodes", int64(mn.stats.Nodes-n0))
-		sp.Add("clusters", int64(mn.stats.Clusters-k0))
+		sp.Add("nodes", int64(mn.stats.Nodes))
+		sp.Add("clusters", int64(mn.stats.Clusters))
 		sp.End()
 	}
+	mn.stats = total
+	return subtrees
 }
 
 // pushChain appends c to the chain stack and marks it in the membership

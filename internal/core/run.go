@@ -93,19 +93,22 @@ func Run(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Result, e
 		mn.obs = o.Observer
 		mn.span = sp
 		mn.sink = func(b *Bicluster, _ int) bool { return visit(b) }
-		mn.run()
+		subtrees := mn.run()
 		if err := bud.contextErr(); err != nil {
 			return nil, err
 		}
+		res.Stats = mn.stats
 		if mn.stats.Truncated {
 			sp.Add("budget_trips", 1)
+		} else {
+			res.Subtrees = subtrees
 		}
-		res.Stats = mn.stats
 		return res, nil
 	}
 
 	e := &engine{m: m, p: p, kern: kern, bud: bud, visit: visit, obs: o.Observer, sp: sp,
-		ck: o.Checkpoint, subs: make([]*subtree, m.Cols()), failed: make(chan struct{})}
+		ck: o.Checkpoint, subs: make([]*subtree, m.Cols()), settled: make([]Stats, m.Cols()),
+		failed: make(chan struct{})}
 	if r := o.Resume; r != nil {
 		e.start = r.NextCond
 		e.skip = r.SkipClusters
@@ -134,15 +137,13 @@ func Run(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Result, e
 	e.stop = sync.OnceFunc(src.Produce(run))
 	defer e.stop()
 	stats, err := e.emit()
-	if s, ok := src.(*Splice); ok && err == nil {
-		// Spliced subtrees carry only their cluster counts; the rest of
-		// their Stats is added once the merger has drained every subtree.
-		err = s.settle(e, &stats)
-	}
 	if err != nil {
 		return nil, err
 	}
 	res.Stats = stats
+	if o.Resume == nil && !stats.Truncated {
+		res.Subtrees = e.settled
+	}
 	return res, nil
 }
 
@@ -197,10 +198,11 @@ type engine struct {
 
 	// Exact sequential accounting of the settled prefix: agg/cumNodes/
 	// cumClusters cover whole subtrees already delivered, in starting-
-	// condition order.
+	// condition order, and settled holds each one's own Stats.
 	agg         Stats
 	cumNodes    int
 	cumClusters int
+	settled     []Stats
 
 	// First failure of the run (a contained worker panic or a source
 	// error); failed is closed when it is recorded.
@@ -429,6 +431,7 @@ func (e *engine) noteDelivery(c, taken int, b *Bicluster) {
 // emits a boundary snapshot: after this point a resumed run starts cleanly at
 // the next starting condition.
 func (e *engine) accountSubtree(c int, st Stats) {
+	e.settled[c] = st
 	e.agg.Add(st)
 	e.cumNodes += st.Nodes
 	e.cumClusters += st.Clusters

@@ -27,7 +27,8 @@ import (
 //     heartbeat batch of a leased subtree and finishing it on the final
 //     heartbeat;
 //   - Splice (incremental.go), pushing the subtrees an append delta cannot
-//     change from the parent result and mining the rest on the local pool.
+//     change from the parent result, finished with the parent's
+//     Result.Subtrees Stats, and mining the rest on the local pool.
 
 // SubtreeCluster is one cluster found inside a subtree, tagged with the
 // subtree-local node ordinal of its emission (the miner's Stats.Nodes at that

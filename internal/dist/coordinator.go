@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"regcluster/internal/core"
+	"regcluster/internal/faultinject"
 	"regcluster/internal/matrix"
 	"regcluster/internal/obs"
 )
@@ -456,8 +458,15 @@ func (c *Coordinator) revoker(ctx context.Context, r *run) {
 
 // localWorker is one in-process mining loop bound to a single run. Local
 // leases go through the same lease/heartbeat machinery as remote ones, so
-// there is exactly one merge path.
+// there is exactly one merge path. A panic while mining is contained like a
+// local pool worker's: it fails the run with a *core.PanicError and ends
+// this loop, and the process keeps serving.
 func (c *Coordinator) localWorker(ctx context.Context, r *run) {
+	defer func() {
+		if v := recover(); v != nil {
+			r.sub.Fail(&core.PanicError{Value: v, Stack: debug.Stack()})
+		}
+	}()
 	for ctx.Err() == nil {
 		ls := c.take("local", true, r)
 		if ls == nil {
@@ -473,6 +482,7 @@ func (c *Coordinator) localWorker(ctx context.Context, r *run) {
 }
 
 func (c *Coordinator) mineLocal(ctx context.Context, r *run, ls *leaseState) {
+	_ = faultinject.Hook("dist.local.mine") // panic/delay injection for containment tests
 	var batch []core.SubtreeCluster
 	emitted := 0
 	stats, err := core.MineSubtreeFunc(ctx, r.sub.Matrix, r.sub.Params, ls.unit.cond, r.sub.Models, func(sc core.SubtreeCluster) bool {

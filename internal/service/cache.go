@@ -66,10 +66,14 @@ func cacheKey(datasetID string, p core.Params) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cachedResult is one settled mining outcome.
+// cachedResult is one settled mining outcome. subtrees holds the run's
+// per-subtree Stats (core.Result.Subtrees); it is nil for resumed runs and
+// for results persisted before it existed, which a delta child's Splice
+// then declines.
 type cachedResult struct {
 	clusters []report.NamedCluster
 	stats    core.Stats
+	subtrees []core.Stats
 }
 
 // resultCache is a strict-LRU map from cacheKey to settled results, bounded

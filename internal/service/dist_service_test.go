@@ -176,6 +176,39 @@ func TestCoordinatorModeSurvivesWorkerKill(t *testing.T) {
 	}
 }
 
+// TestCoordinatorLocalPanicFailsJobOnly: a panic in the coordinator's
+// in-process lease loop is contained like a local pool worker's — the job
+// settles failed with the stack, and the same server then mines the same
+// job to the single-node result.
+func TestCoordinatorLocalPanicFailsJobOnly(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	m, p := distWorkload(t)
+	wantNamed, wantStats := minedReference(t, m, p)
+	_, ts := newTestServer(t, Config{Mode: "coordinator", DistLocalWorkers: 2, Logf: t.Logf})
+	id := uploadMatrix(t, ts, m, "dist-panic")
+
+	disarm := faultinject.Arm("dist.local.mine", faultinject.Spec{Panic: "injected lease-loop panic", Times: 1})
+	fin := waitTerminal(t, ts, submitJob(t, ts, submitRequest{Dataset: id, Params: p}).ID)
+	disarm()
+	if fin.Status != StatusFailed || !strings.Contains(fin.Error, "injected lease-loop panic") {
+		t.Fatalf("panicked job ended %s (%q), want failed with the panic", fin.Status, fin.Error)
+	}
+	if !strings.Contains(fin.Stack, "goroutine") {
+		t.Fatalf("no stack captured: %q", fin.Stack)
+	}
+
+	again := waitTerminal(t, ts, submitJob(t, ts, submitRequest{Dataset: id, Params: p}).ID)
+	if again.Status != StatusDone {
+		t.Fatalf("post-panic job ended %s (%s)", again.Status, again.Error)
+	}
+	if again.Stats == nil || *again.Stats != wantStats {
+		t.Fatalf("post-panic stats %+v, want %+v", again.Stats, wantStats)
+	}
+	if streamed, _ := streamClusters(t, ts, again.ID); !reflect.DeepEqual(streamed, wantNamed) {
+		t.Fatal("post-panic result diverges from the single-node run")
+	}
+}
+
 // TestReplayAuditRecordsSkipped pins the forward-compatibility contract of
 // the audit records at the replay layer: recWorker/recLease lines interleaved
 // with job records change nothing about the replayed job state, raise no

@@ -291,6 +291,150 @@ func TestIncrementalWorkerPanicFailsJobOnly(t *testing.T) {
 	}
 }
 
+// TestIncrementalAfterRestart: a parent mined before a restart still serves
+// its delta child incrementally, because the persisted result carries the
+// per-subtree Stats and the Splice needs no parent model set (the restarted
+// model cache is cold, so nothing is repaired). A result file written
+// without subtrees instead reports the named fallback and mines cold. Both
+// children must match a cold mine of the grown matrix exactly.
+func TestIncrementalAfterRestart(t *testing.T) {
+	p := incrParams()
+	grown, err := matrix.AppendConditions(incrParentMatrix(), incrDeltaMatrix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := core.Run(context.Background(), grown, p, core.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantClusters := make([]report.NamedCluster, len(cold.Clusters))
+	for i, b := range cold.Clusters {
+		wantClusters[i] = report.Named(grown, b)
+	}
+
+	for _, tc := range []struct {
+		name      string
+		legacy    bool // strip the subtrees from the parent's result file
+		wantIncr  bool
+		fallback  string
+		fallbacks int64
+	}{
+		{name: "per-subtree stats persisted", wantIncr: true},
+		{name: "result file without subtrees", legacy: true, fallback: "no per-subtree stats", fallbacks: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(Config{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			parentID := uploadMatrix(t, ts, incrParentMatrix(), "parent")
+			if v := waitTerminal(t, ts, submitJob(t, ts, submitRequest{Dataset: parentID, Params: p, Workers: 2}).ID); v.Status != StatusDone {
+				t.Fatalf("parent job ended %s: %s", v.Status, v.Error)
+			}
+			ts.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			path := s.store.resultPath(cacheKey(parentID, p))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rf resultFile
+			if err := json.Unmarshal(raw, &rf); err != nil {
+				t.Fatal(err)
+			}
+			if len(rf.Subtrees) != incrParentMatrix().Cols() {
+				t.Fatalf("persisted result holds %d subtree stats, want one per condition", len(rf.Subtrees))
+			}
+			if tc.legacy {
+				rf.Subtrees = nil
+				if raw, err = json.Marshal(rf); err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Contains(raw, []byte(`"subtrees"`)) {
+					t.Fatalf("stripped result file still names subtrees: %s", raw)
+				}
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s2, err := Open(Config{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			ts2 := httptest.NewServer(s2.Handler())
+			defer ts2.Close()
+			child, status := appendDeltaHTTP(t, ts2, parentID, "", incrDeltaMatrix())
+			if status != http.StatusCreated {
+				t.Fatalf("append status %d", status)
+			}
+			cj := submitJob(t, ts2, submitRequest{Dataset: child.ID, Params: p, Workers: 2})
+			cv := waitTerminal(t, ts2, cj.ID)
+			if cv.Status != StatusDone {
+				t.Fatalf("child job ended %s: %s", cv.Status, cv.Error)
+			}
+			inc := cv.Incremental
+			if inc == nil || inc.Incremental != tc.wantIncr || inc.Fallback != tc.fallback {
+				t.Fatalf("child incremental report %+v, want incremental=%v fallback %q", inc, tc.wantIncr, tc.fallback)
+			}
+			if tc.wantIncr && (inc.SubtreesReused != 3 || inc.SubtreesMined != 2) {
+				t.Fatalf("subtrees reused/mined = %d/%d, want 3/2", inc.SubtreesReused, inc.SubtreesMined)
+			}
+			if got := metricValue(t, ts2, "regserver_model_repairs_total"); got != 0 {
+				t.Fatalf("%d genes repaired: the restarted model cache was supposed to be cold", got)
+			}
+			if got := metricValue(t, ts2, "regserver_incremental_fallbacks_total"); got != tc.fallbacks {
+				t.Fatalf("incremental fallbacks %d, want %d", got, tc.fallbacks)
+			}
+			got, _ := streamClusters(t, ts2, cj.ID)
+			if !reflect.DeepEqual(got, wantClusters) {
+				t.Fatalf("child cluster stream differs from cold mine:\n got %+v\nwant %+v", got, wantClusters)
+			}
+			if cv.Stats == nil || *cv.Stats != cold.Stats {
+				t.Fatalf("child stats %+v differ from cold %+v", cv.Stats, cold.Stats)
+			}
+		})
+	}
+}
+
+// TestGeneAxisDeltaReportsFallback: a gene-axis child mines cold with its
+// checkpoint cadence, reports the named fallback, and counts it.
+func TestGeneAxisDeltaReportsFallback(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	p := incrParams()
+	parent := incrParentMatrix()
+	parentID := uploadMatrix(t, ts, parent, "parent")
+	if v := waitTerminal(t, ts, submitJob(t, ts, submitRequest{Dataset: parentID, Params: p}).ID); v.Status != StatusDone {
+		t.Fatalf("parent job ended %s: %s", v.Status, v.Error)
+	}
+	gdelta := matrix.NewWithNames([]string{"g3"}, parent.ColNames())
+	copy(gdelta.Row(0), []float64{1, 3, 4, 1})
+	child, status := appendDeltaHTTP(t, ts, parentID, "?axis=genes", gdelta)
+	if status != http.StatusCreated {
+		t.Fatalf("gene append status %d", status)
+	}
+	before := metricValue(t, ts, "regserver_checkpoints_total")
+	v := waitTerminal(t, ts, submitJob(t, ts, submitRequest{Dataset: child.ID, Params: p}).ID)
+	if v.Status != StatusDone {
+		t.Fatalf("gene-axis child ended %s: %s", v.Status, v.Error)
+	}
+	if v.Incremental == nil || v.Incremental.Incremental || v.Incremental.Fallback != "gene axis changed" {
+		t.Fatalf("gene-axis child incremental report %+v, want fallback \"gene axis changed\"", v.Incremental)
+	}
+	if got := metricValue(t, ts, "regserver_incremental_fallbacks_total"); got != 1 {
+		t.Fatalf("incremental fallbacks %d, want 1", got)
+	}
+	if metricValue(t, ts, "regserver_checkpoints_total") == before {
+		t.Fatal("gene-axis child took no checkpoints: the cold mine lost its cadence")
+	}
+}
+
 // TestDiffEndpointErrors pins the 404 surface of the diff endpoint.
 func TestDiffEndpointErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

@@ -13,7 +13,6 @@ import (
 	"regcluster/internal/core"
 	"regcluster/internal/dist"
 	"regcluster/internal/faultinject"
-	"regcluster/internal/matrix"
 	"regcluster/internal/obs"
 	"regcluster/internal/report"
 )
@@ -322,6 +321,10 @@ type jobManager struct {
 	seq     int
 	closed  bool
 	running sync.WaitGroup // one count per live mining goroutine
+	// settleMu is read-held while a job settles — from publishing its
+	// terminal status to journaling it — and taken by Server.Close, so
+	// the journal is never closed under a settlement a client has seen.
+	settleMu sync.RWMutex
 }
 
 func newJobManager(maxConcurrent int, cache *resultCache, metrics *Metrics) *jobManager {
@@ -486,6 +489,8 @@ func (m *jobManager) submitAs(tn *tenant, ds *Dataset, p core.Params, workers in
 func (m *jobManager) launch(j *Job, reserved bool) {
 	key := cacheKey(j.Dataset.ID, j.Params)
 	if res, ok := m.cache.get(key); ok {
+		m.settleMu.RLock()
+		defer m.settleMu.RUnlock()
 		if reserved {
 			m.sched.unreserve(j.tn, 1)
 			j.tn.nodes.Release(j.nodeCost)
@@ -569,12 +574,12 @@ func (m *jobManager) run(ctx context.Context, j *Job, key string) {
 	defer m.running.Done()
 	qstart := time.Now()
 	if err := m.sched.acquire(ctx, j); err != nil {
-		m.settle(j, key, core.Stats{}, err)
+		m.settle(j, key, core.Result{}, err)
 		return
 	}
 	defer m.sched.release(j)
 	if ctx.Err() != nil {
-		m.settle(j, key, core.Stats{}, ctx.Err())
+		m.settle(j, key, core.Result{}, ctx.Err())
 		return
 	}
 	wait := time.Since(qstart)
@@ -597,7 +602,7 @@ func (m *jobManager) run(ctx context.Context, j *Job, key string) {
 	}
 
 	start := time.Now()
-	var stats core.Stats
+	var res core.Result
 	var err error
 	for attempt := 0; ; attempt++ {
 		asp := j.root.Start("attempt")
@@ -605,7 +610,7 @@ func (m *jobManager) run(ctx context.Context, j *Job, key string) {
 			asp.SetInt("n", int64(attempt))
 			j.obs.SetSpan(asp)
 		}
-		stats, err = m.mine(mineCtx, j)
+		res, err = m.mine(mineCtx, j)
 		asp.End()
 		if err == nil || !isTransient(err) || attempt >= m.maxRetries || mineCtx.Err() != nil {
 			break
@@ -628,16 +633,17 @@ func (m *jobManager) run(ctx context.Context, j *Job, key string) {
 	j.mu.Lock()
 	j.ranFor = ran
 	j.mu.Unlock()
-	m.settle(j, key, stats, err)
+	m.settle(j, key, res, err)
 }
 
 // mine runs one attempt over the resumable miner. The attempt resumes from
 // the job's last checkpoint (nil on the first attempt of a fresh job),
 // having first rewound the delivered clusters to that checkpoint's watermark
-// so a retry never duplicates deliveries.
-func (m *jobManager) mine(ctx context.Context, j *Job) (core.Stats, error) {
+// so a retry never duplicates deliveries. The clusters went to the job, so
+// the returned Result carries only Stats and Subtrees.
+func (m *jobManager) mine(ctx context.Context, j *Job) (core.Result, error) {
 	if err := faultinject.Hook("jobs.mine"); err != nil {
-		return core.Stats{}, err
+		return core.Result{}, err
 	}
 	resume := j.resumePoint()
 	if resume != nil {
@@ -673,7 +679,7 @@ func (m *jobManager) mine(ctx context.Context, j *Job) (core.Stats, error) {
 			return core.BuildModels(mat, j.Params, &j.obs)
 		})
 		if err != nil {
-			return core.Stats{}, err
+			return core.Result{}, err
 		}
 	}
 	visit := func(b *core.Bicluster) bool {
@@ -686,69 +692,66 @@ func (m *jobManager) mine(ctx context.Context, j *Job) (core.Stats, error) {
 		return true
 	}
 	opts := core.Options{Workers: j.Workers, Visit: visit, Observer: &j.obs, Resume: resume, Checkpoint: ck, Models: models}
-	var splice *core.Splice
-	switch {
+	var incr func() core.IncrementalInfo // how a delta child used its parent
+	switch d := j.Dataset.Delta; {
 	case m.coord != nil:
 		// Coordinator mode: the same visitor, resume point, and checkpoint
 		// cadence feed the one merger, so the journal/recovery path is
 		// oblivious to where the subtrees were mined.
 		opts.Source = m.coord.Source(dist.MineRequest{Job: j.ID, DatasetID: j.Dataset.ID, LocalWorkers: m.distLocalWorkers})
-	case resume == nil && models != nil:
-		if plan := m.incrementalPlan(j); plan != nil {
-			// Subtree-reuse attempt. It takes no checkpoint cadence: a crash
-			// mid-run restarts the attempt from scratch, which is cheap by
-			// construction (only dirty subtrees mine). Output — cluster
-			// stream and Stats — is byte-identical to the cold path, so the
-			// cache and journal are oblivious.
-			splice = &core.Splice{Parent: plan.parentMat, ParentModels: plan.parentModels, ParentResult: plan.parentResult}
-			opts.Source, opts.Checkpoint = splice, core.CheckpointConfig{}
+	case d != nil && d.Axis == DeltaAxisGenes:
+		// A gene-axis child keeps the cold mine and its checkpoint cadence;
+		// it only reports why no subtree was reused.
+		incr = func() core.IncrementalInfo { return core.IncrementalInfo{Fallback: "gene axis changed"} }
+	default:
+		// Subtree-reuse attempt. It takes no checkpoint cadence: a crash
+		// mid-run restarts the attempt, which is cheap by construction (only
+		// dirty subtrees mine), while checkpoints would journal the spliced
+		// clusters too. Output — cluster stream, Stats and Subtrees — is
+		// byte-identical to the cold path, so the cache and journal are
+		// oblivious.
+		if splice := m.incrementalPlan(j); splice != nil {
+			opts.Source, opts.Checkpoint, incr = splice, core.CheckpointConfig{}, splice.Info
 		}
 	}
 	res, err := core.Run(ctx, mat, j.Params, opts)
 	if err != nil {
-		return core.Stats{}, err
+		return core.Result{}, err
 	}
-	if splice != nil {
-		info := splice.Info()
-		if info.Incremental {
-			m.metrics.IncrementalMines.Add(1)
-			m.metrics.IncrementalSubtreesReused.Add(int64(info.SubtreesReused))
-			m.metrics.IncrementalSubtreesMined.Add(int64(info.SubtreesMined))
-		} else {
-			m.metrics.IncrementalFallbacks.Add(1)
-		}
-		j.mu.Lock()
-		j.incr = &info
-		j.mu.Unlock()
+	if incr != nil {
+		m.noteIncremental(j, incr())
 	}
-	return res.Stats, nil
+	return *res, nil
 }
 
-// incrPlan holds everything a delta-lineage job needs to take the
-// subtree-reuse path: the parent's live matrix, its cached RWave model set,
-// and its settled result resolved back to index form.
-type incrPlan struct {
-	parentMat    *matrix.Matrix
-	parentModels []*core.RWaveModel
-	parentResult *core.Result
+// noteIncremental records how a delta child's successful attempt used its
+// parent: on the job view and in the incremental counters.
+func (m *jobManager) noteIncremental(j *Job, info core.IncrementalInfo) {
+	if info.Incremental {
+		m.metrics.IncrementalMines.Add(1)
+		m.metrics.IncrementalSubtreesReused.Add(int64(info.SubtreesReused))
+		m.metrics.IncrementalSubtreesMined.Add(int64(info.SubtreesMined))
+	} else {
+		m.metrics.IncrementalFallbacks.Add(1)
+	}
+	j.mu.Lock()
+	j.incr = &info
+	j.mu.Unlock()
 }
 
-// incrementalPlan assembles the subtree-reuse inputs for a delta-lineage job.
-// Any missing piece — no lineage, a gene-axis delta, an unregistered parent,
-// an evicted parent model set or result, or names that no longer resolve —
-// returns nil and the job mines cold without touching the incremental
-// metrics: the fallback counter is reserved for runs where reuse was
-// plausible but the engine itself declined.
-func (m *jobManager) incrementalPlan(j *Job) *incrPlan {
+// incrementalPlan returns the Splice source for a conditions-axis delta job:
+// the parent's live matrix and its settled result resolved back to index
+// form. A missing piece — no such lineage, an unregistered parent, an
+// evicted parent result, or names that no longer resolve — returns nil and
+// the job mines cold without touching the incremental metrics: the fallback
+// counter is reserved for runs where reuse was plausible but the engine
+// itself declined.
+func (m *jobManager) incrementalPlan(j *Job) *core.Splice {
 	d := j.Dataset.Delta
-	if d == nil || d.Axis != DeltaAxisConditions || m.datasets == nil || m.models == nil || m.cache == nil {
+	if d == nil || d.Axis != DeltaAxisConditions || m.datasets == nil || m.cache == nil {
 		return nil
 	}
 	parent, ok := m.datasets(d.Parent)
-	if !ok {
-		return nil
-	}
-	pm, ok := m.models.peek(core.ModelKey(d.Parent, j.Params))
 	if !ok {
 		return nil
 	}
@@ -765,11 +768,8 @@ func (m *jobManager) incrementalPlan(j *Job) *incrPlan {
 	if err != nil {
 		return nil
 	}
-	return &incrPlan{
-		parentMat:    parent.Matrix(),
-		parentModels: pm,
-		parentResult: &core.Result{Clusters: bs, Stats: res.stats},
-	}
+	return &core.Splice{Parent: parent.Matrix(),
+		ParentResult: &core.Result{Clusters: bs, Stats: res.stats, Subtrees: res.subtrees}}
 }
 
 // noteCheckpoint records a miner snapshot: it becomes the job's resume point
@@ -829,7 +829,10 @@ func isTransient(err error) bool {
 // is deterministic and therefore cacheable. A worker panic surfaces as
 // failed with the captured stack; shutdown-driven cancellation surfaces as
 // interrupted, journaled with the resume checkpoint.
-func (m *jobManager) settle(j *Job, key string, stats core.Stats, err error) {
+func (m *jobManager) settle(j *Job, key string, out core.Result, err error) {
+	m.settleMu.RLock()
+	defer m.settleMu.RUnlock()
+	stats := out.Stats
 	var perr *core.PanicError
 	j.mu.Lock()
 	j.stats = stats
@@ -907,7 +910,7 @@ func (m *jobManager) settle(j *Job, key string, stats core.Stats, err error) {
 	case StatusDone:
 		m.metrics.JobsFinished.Add(1)
 		m.metrics.NodesVisited.Add(int64(stats.Nodes))
-		res := cachedResult{clusters: clusters, stats: stats}
+		res := cachedResult{clusters: clusters, stats: stats, subtrees: out.Subtrees}
 		m.cache.put(key, res)
 		if m.store != nil {
 			if err := m.store.saveResult(key, res); err != nil {

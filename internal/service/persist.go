@@ -193,6 +193,7 @@ func (s *store) loadDatasets() []*Dataset {
 type resultFile struct {
 	Clusters []report.NamedCluster `json:"clusters"`
 	Stats    core.Stats            `json:"stats"`
+	Subtrees []core.Stats          `json:"subtrees,omitempty"`
 }
 
 func (s *store) resultPath(key string) string {
@@ -208,7 +209,7 @@ func (s *store) saveResult(key string, res cachedResult) error {
 	if clusters == nil {
 		clusters = []report.NamedCluster{}
 	}
-	data, err := json.Marshal(resultFile{Clusters: clusters, Stats: res.stats})
+	data, err := json.Marshal(resultFile{Clusters: clusters, Stats: res.stats, Subtrees: res.subtrees})
 	if err != nil {
 		return err
 	}
@@ -274,7 +275,7 @@ func (s *store) loadResults(max int) []storedResult {
 			s.deleteResult(f.key)
 			continue
 		}
-		out = append(out, storedResult{key: f.key, res: cachedResult{clusters: rf.Clusters, stats: rf.Stats}})
+		out = append(out, storedResult{key: f.key, res: cachedResult{clusters: rf.Clusters, stats: rf.Stats, subtrees: rf.Subtrees}})
 	}
 	return out
 }

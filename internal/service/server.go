@@ -338,9 +338,13 @@ func New(cfg Config) *Server {
 }
 
 // Close releases the server's durable resources (the journal file handle)
-// and stops the runtime sampler. Call it after Shutdown.
+// and stops the runtime sampler. Call it after Shutdown. It first waits for
+// settlements in progress, so every job a client saw settled has its result
+// and terminal record on disk.
 func (s *Server) Close() error {
 	s.sampler.Stop()
+	s.jobs.settleMu.Lock()
+	defer s.jobs.settleMu.Unlock()
 	if s.wal != nil {
 		return s.wal.close()
 	}

@@ -202,13 +202,16 @@ type IncrementalInfo = core.IncrementalInfo
 // parent's result wherever the appended conditions cannot have changed it:
 // only subtrees rooted at dirty conditions (those within regulation reach of
 // an appended condition, plus the appended ones) are re-mined; the rest
-// splice from parentResult. The cluster stream delivered to visit and the
-// returned Stats are byte-identical to a cold mine of child for any worker
-// count. When reuse is unsound (see IncrementalInfo.Fallback) the call
-// transparently runs the cold path instead.
+// splice from parentResult, finished with its per-subtree Stats
+// (Result.Subtrees, set by every complete mine). The cluster stream
+// delivered to visit and the returned Stats are byte-identical to a cold
+// mine of child for any worker count, MaxClusters cap or visitor stop. When
+// reuse is unsound (see IncrementalInfo.Fallback) the call transparently
+// runs the cold path instead. parentModels is no longer read; it stays in
+// the signature for existing callers.
 func MineIncremental(ctx context.Context, child, parent *Matrix, p Params, workers int,
 	visit Visitor, o *Observer, childModels, parentModels []*RWaveModel, parentResult *Result) (Stats, IncrementalInfo, error) {
-	splice := &core.Splice{Parent: parent, ParentModels: parentModels, ParentResult: parentResult}
+	splice := &core.Splice{Parent: parent, ParentResult: parentResult}
 	stats, err := runStats(core.Run(ctx, child, p, core.Options{Workers: workers, Visit: visit, Observer: o, Models: childModels, Source: splice}))
 	return stats, splice.Info(), err
 }

@@ -4,7 +4,9 @@
 # must take the incremental path (repairing the cached RWave models and
 # re-mining only the dirty subtrees), its result must be byte-identical to a
 # cold mine of the same grown matrix on a fresh server, and the diff endpoint
-# must describe the change under the regcluster.diff/v1 schema.
+# must describe the change under the regcluster.diff/v1 schema. A last phase
+# repeats the child mine on a -data-dir server restarted between the parent
+# and child mines: the child must still take the incremental path.
 set -euo pipefail
 
 script_dir=$(cd "$(dirname "$0")" && pwd)
@@ -100,4 +102,35 @@ stop_server
 cmp -s "$workdir/incremental.json" "$workdir/cold.json" \
     || fail "incremental result differs from the cold mine"
 note "incremental result byte-identical to the cold mine"
+
+# --- Phase 3: restart a durable server between the parent and child mine ----
+# The persisted parent result carries its per-subtree Stats, so the child
+# still splices after the restart although the model cache starts cold.
+start_server "$workdir/durable.log" -jobs 1 -data-dir "$workdir/data"
+parent=$(upload "$workdir/parent.tsv" incr)
+pjob=$(submit "$parent" "$params")
+[[ -n "$pjob" ]] || fail "durable parent submission returned no job ID"
+wait_done "$pjob" 300
+stop_server
+note "durable parent $pjob done; restarting"
+
+start_server "$workdir/durable2.log" -jobs 1 -data-dir "$workdir/data"
+reply=$(curl -sf -X POST --data-binary @"$workdir/delta.tsv" \
+    "$base/datasets/$parent/append")
+child=$(printf '%s' "$reply" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)
+[[ -n "$child" && "$child" != "$parent" ]] || fail "append after restart returned no child ID: $reply"
+cjob=$(submit "$child" "$params")
+[[ -n "$cjob" ]] || fail "child submission after restart returned no job ID"
+wait_done "$cjob" 300
+cview=$(curl -sf "$base/jobs/$cjob")
+echo "$cview" | grep -q '"incremental": *true' \
+    || fail "child job after restart did not take the incremental path: $cview"
+echo "$cview" | grep -q '"subtrees_reused": *3' || fail "subtrees_reused after restart: $cview"
+[[ "$(metric regserver_model_repairs_total)" == 0 ]] \
+    || fail "model cache was not cold after the restart"
+curl -sf "$base/jobs/$cjob/result" >"$workdir/restarted.json"
+stop_server
+cmp -s "$workdir/restarted.json" "$workdir/cold.json" \
+    || fail "incremental result after a restart differs from the cold mine"
+note "incremental re-mine after a restart byte-identical to the cold mine"
 note "OK"
